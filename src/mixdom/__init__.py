@@ -1,24 +1,15 @@
 """Mixed dominating sets on generalized Petersen graphs P(n,k)."""
 
 from .constructions import (
-    ConstructionOutput,
     construct,
     construct_general,
     construct_k1,
     construct_k2_block4,
     construct_k2_block8,
 )
-from .domination import (
-    DominationReport,
-    gamma_from_rd,
-    greedy_complete,
-    naive_lower_bound,
-    redomination,
-    verify,
-)
+from .domination import gamma_from_rd, greedy_complete, naive_lower_bound, redomination, verify
 from .elements import Element, ElementKind, ElementSet
 from .errors import (
-    InvalidFactor,
     InvalidSpec,
     MixdomError,
     NoSolutionWithin,
@@ -26,38 +17,21 @@ from .errors import (
     SetFileError,
     UnknownElement,
 )
-from .formulas import FormulaResult, gamma_k1, gamma_k2, gamma_k2_remark, upper_bound_general
-from .petersen import (
-    Block,
-    BlockDecomposition,
-    GraphSpec,
-    PetersenGraph,
-    build,
-    build_graph,
-    decompose,
-    to_dot,
-)
-from .solver import OptimalResult, SolveBudget, solve_exact, solve_exhaustive
+from .formulas import gamma_k1, gamma_k2, gamma_k2_remark, upper_bound_general
+from .petersen import GraphSpec, build, build_graph, to_dot
+from .solver import SolveBudget, solve_exact, solve_exhaustive
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
-    "BlockDecomposition",
-    "ConstructionOutput",
-    "DominationReport",
     "Element",
     "ElementKind",
     "ElementSet",
-    "FormulaResult",
     "GraphSpec",
-    "InvalidFactor",
     "InvalidSpec",
     "MixdomError",
     "NoSolutionWithin",
-    "OptimalResult",
     "OutOfRange",
-    "PetersenGraph",
     "SetFileError",
     "SolveBudget",
     "UnknownElement",
@@ -68,7 +42,6 @@ __all__ = [
     "construct_k1",
     "construct_k2_block4",
     "construct_k2_block8",
-    "decompose",
     "gamma_from_rd",
     "gamma_k1",
     "gamma_k2",

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 
+from .errors import MixdomError
+
 try:
     from numba import njit
 
@@ -28,7 +30,11 @@ def numba_enabled() -> bool:
 
 
 def _pick(flag):
-    return numba_enabled() if flag is None else bool(flag)
+    if flag is None:
+        return numba_enabled()
+    if flag and not HAVE_NUMBA:
+        raise MixdomError("use_numba=True needs numba: pip install 'mixdom[numba]'")
+    return bool(flag)
 
 
 # ---------------------------------------------------------------------------

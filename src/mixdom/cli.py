@@ -19,7 +19,6 @@ import click
 
 from . import constructions, formulas, setfile
 from .domination import verify as verify_set
-from .elements import ElementSet
 from .errors import MixdomError
 from .petersen import GraphSpec, build_graph, to_dot
 from .solver import SolveBudget, solve_exact, solve_exhaustive
@@ -35,13 +34,18 @@ def _graph(n: int, k: int):
         return build_graph(GraphSpec(n, k))
     except MixdomError as exc:
         _fail(str(exc))
+    except MemoryError:
+        _fail(f"P({n},{k}) is too large to build in memory")
 
 
 def workers() -> int:
     env = os.environ.get("MIXDOM_WORKERS", "")
-    if env.strip():
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        _fail(f"MIXDOM_WORKERS must be an integer, got {env!r}")
 
 
 @click.group()
@@ -79,6 +83,8 @@ def _load_setfile(path):
         _fail(f"cannot read {path}: {exc}")
     except MixdomError as exc:
         _fail(f"{path}: {exc}")
+    except MemoryError:
+        _fail(f"{path}: instance too large to load in memory")
 
 
 @main.command("verify")
@@ -192,33 +198,26 @@ class CompareRow:
     gap: int | None
 
     def record(self) -> str:
-        def show(x):
-            if x is None:
-                return "-"
-            if isinstance(x, bool):
-                return "yes" if x else "no"
-            return str(x)
-
-        return (f"n={self.n} k={self.k} construction={show(self.construction_size)} "
+        return (f"n={self.n} k={self.k} construction={_show(self.construction_size)} "
                 f"formula={self.formula_value} kind={self.formula_kind} "
-                f"exact={show(self.exact_optimum)} proved={show(self.proved)} "
-                f"gap={show(self.gap)}")
+                f"exact={_show(self.exact_optimum)} proved={_show(self.proved)} "
+                f"gap={_show(self.gap)}")
 
 
-def _construction_for(n: int, k: int):
-    try:
-        if k == 1:
-            return constructions.construct_k1(n)
-        if k == 2:
-            return constructions.construct_k2_block4(n)
-        return constructions.construct_general(n, k)
-    except MixdomError:
-        return None
+def _show(x) -> str:
+    if x is None:
+        return "-"
+    if isinstance(x, bool):
+        return "yes" if x else "no"
+    return str(x)
 
 
 def compare_row(n: int, k: int, budget: SolveBudget | None) -> CompareRow:
     """One cross-check row: construction vs formula vs (optional) exact optimum."""
-    con = _construction_for(n, k)
+    try:
+        con = constructions.construct(n, k, constructions.default_pattern(k))
+    except MixdomError:
+        con = None
     f = formulas.formula_for(n, k)
     exact = proved = gap = None
     if budget is not None:
@@ -256,19 +255,12 @@ def compare(k, n_start, n_end, max_time, max_nodes, fmt):
         for row in rows:
             click.echo(row.record())
         return
-    def show(x):
-        if x is None:
-            return "-"
-        if isinstance(x, bool):
-            return "yes" if x else "no"
-        return x
-
     click.echo(f"{'n':>5} {'constr':>7} {'formula':>8} {'kind':>12} {'exact':>6} "
                f"{'proved':>7} {'gap':>4}")
     for r in rows:
-        click.echo(f"{r.n:>5} {show(r.construction_size):>7} {r.formula_value:>8} "
-                   f"{r.formula_kind:>12} {show(r.exact_optimum):>6} {show(r.proved):>7} "
-                   f"{show(r.gap):>4}")
+        click.echo(f"{r.n:>5} {_show(r.construction_size):>7} {r.formula_value:>8} "
+                   f"{r.formula_kind:>12} {_show(r.exact_optimum):>6} {_show(r.proved):>7} "
+                   f"{_show(r.gap):>4}")
 
 
 TABLE_NAMES = ("table1", "eq1", "k2", "k2remark", "general")
@@ -294,7 +286,7 @@ def table(name, n_start, n_end):
 
 # reference row for the smallest k=1 instances; the n=1,2 entries presume
 # multigraph loops and double edges, outside this package's model
-TABLE1_REFERENCE = {1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 5, 7: 6}
+TABLE1_REFERENCE = {1: 1, 2: 2, **formulas.SMALL_K1}
 
 
 def _table_small(n_start, n_end):
@@ -319,7 +311,10 @@ def _table_formula_vs_construction(title, k, lo, hi):
     mismatches = 0
     for n in range(lo, hi + 1):
         f = formulas.formula_for(n, k)
-        con = _construction_for(n, k)
+        try:
+            con = constructions.construct(n, k, constructions.default_pattern(k))
+        except MixdomError:
+            con = None
         ok = con is not None and con.size == f.value and not con.repaired
         mismatches += 0 if ok else 1
         click.echo(f"{n:>5} {f.value:>8} {con.size if con else '-':>7} {'ok' if ok else '!':>6}")

@@ -1,25 +1,39 @@
 """Explicit mixed dominating sets for P(n,k) built from periodic block patterns.
 
-Each constructor tiles a fixed per-block gadget over full blocks, appends a
-remainder gadget keyed by n mod (block width), validates the result, and
-falls back to greedy repair if the raw set does not dominate. Repairs are
-always recorded on the output, never applied silently.
+Every pattern is one :class:`Pattern` row of data, and one tiler, :func:`tile`,
+turns a row into a raw element set: the block gadget goes into each full
+block of ``width`` columns, then the gadget ``remainders[n % width]`` goes
+after the last full block. The raw set is verified; when it does not
+dominate, greedy repair completes it. Repairs are always recorded on the
+output, never applied silently.
 
-Index conventions: all column indices are reduced mod n, and a generated
-element that collides with one already in the set is simply absorbed (the
-resulting size shortfall then shows up in validation instead of passing
-unnoticed).
+A gadget is a tuple of ``(kind, column offset)`` pairs, with kinds named
+after the set-file tags (V, U, VV, VU, UU). Offsets count from the start of
+the block and are reduced mod n, so a remainder gadget may reach back into
+the last full block with a negative offset. An element placed twice is
+simply absorbed; the size shortfall then shows up in validation instead of
+passing unnoticed.
+
+A row holds the k it applies to, the block width, the block gadget, the
+remainder table (one gadget per residue n mod width), the formula giving the
+predicted size, the minimum n, and the residues at which the pattern is
+known to sit one above the optimum. The k=1 and k=2 rows are literals in
+``_ROWS``, keyed by pattern name; the general row is generated from k by
+:func:`_general_row`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import formulas
 from .domination import greedy_complete, verify
-from .elements import ElementSet
+from .elements import ElementKind, ElementSet
 from .errors import OutOfRange
-from .petersen import PetersenGraph, build
+from .petersen import build
 
 K1_BLOCK8 = "k1-block8"
 K2_BLOCK4 = "k2-block4"
@@ -27,6 +41,21 @@ K2_BLOCK8 = "k2-block8"
 GENERAL = "general"
 
 PATTERNS = (K1_BLOCK8, K2_BLOCK4, K2_BLOCK8, GENERAL)
+
+V, U, VV, VU, UU = ElementKind
+
+Gadget = tuple[tuple[ElementKind, int], ...]
+
+
+@dataclass(frozen=True)
+class Pattern:
+    k: int
+    width: int
+    block: Gadget
+    remainders: tuple[Gadget, ...] | _GeneralRemainders
+    formula: Callable[[int], formulas.FormulaResult]
+    min_n: int
+    suboptimal: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -46,238 +75,160 @@ class ConstructionOutput:
         return len(self.elements)
 
 
-def _v(n, i):
-    return i % n
+# Formulas are looked up in the formulas module at call time, so a patched
+# formula takes effect here too.
+_ROWS = {
+    K1_BLOCK8: Pattern(
+        k=1, width=8, min_n=8,
+        block=((U, 0), (VV, 1), (UU, 2), (V, 4), (UU, 5), (VV, 6)),
+        remainders=(
+            (),
+            ((U, 0), (VV, 0)),
+            ((U, 0), (VV, 1)),
+            ((U, 0), (VV, 1), (UU, 1)),
+            ((U, 0), (VV, 1), (UU, 2), (V, 3)),
+            ((U, 0), (VV, 1), (UU, 2), (V, 4)),
+            ((U, 0), (VV, 1), (UU, 2), (V, 4), (VU, 5)),
+            ((U, 0), (VV, 1), (UU, 2), (V, 4), (UU, 5), (VV, 6)),
+        ),
+        formula=lambda n: formulas.gamma_k1(n),
+    ),
+    # Each leftover column gets its own spoke; a spoke one column later
+    # would collide with the next block's for some residues.
+    K2_BLOCK4: Pattern(
+        k=2, width=4, min_n=5,
+        block=((VU, 0), (UU, 1), (V, 2)),
+        remainders=((), ((VU, 0),), ((VU, 0), (VU, 1)), ((VU, 0), (VU, 1), (VU, 2))),
+        formula=lambda n: formulas.gamma_k2(n),
+    ),
+    # The remainder gadgets were found by exact search and meet the
+    # pattern's case formula, which is one above the optimum for n mod 8
+    # in {1, 4}.
+    K2_BLOCK8: Pattern(
+        k=2, width=8, min_n=8, suboptimal=(1, 4),
+        block=((U, 0), (VV, 1), (U, 3), (VU, 4), (VV, 5), (VU, 7)),
+        remainders=(
+            (),
+            ((U, 0), (V, 1)),
+            ((U, 0), (VU, 1)),
+            ((U, 0), (V, 1), (VU, 2)),
+            ((V, 0), (U, 0), (UU, 1), (VV, 2)),
+            ((U, 0), (VV, 1), (U, 3), (VU, 4)),
+            ((U, 0), (VV, 1), (U, 3), (VU, 4), (VU, 5)),
+            ((U, 0), (V, 1), (VU, 2), (UU, 3), (V, 4), (VU, 6)),
+        ),
+        formula=lambda n: formulas.gamma_k2_remark(n),
+    ),
+}
 
 
-def _u(n, i):
-    return n + i % n
+def _pairs(k: int, count: int) -> Gadget:
+    """Inner vertex and spoke on alternate columns, staggered by one for odd k."""
+    odd = k % 2
+    return tuple(e for i in range(count) for e in ((U, 2 * i + odd), (VU, 2 * i + 1 - odd)))
 
 
-def _oe(n, i):
-    return 2 * n + i % n
-
-
-def _sp(n, i):
-    return 3 * n + i % n
-
-
-def _ie(n, i):
-    return 4 * n + i % n
-
-
-def _finalize(graph: PetersenGraph, raw: ElementSet, pattern: str, predicted: int,
-              known_suboptimal: bool = False) -> ConstructionOutput:
-    report = verify(graph, raw)
-    if report.is_dominating:
-        return ConstructionOutput(graph.n, graph.k, pattern, raw, predicted,
-                                  raw_valid=True, repaired=False,
-                                  repair_added=ElementSet(graph.n),
-                                  known_suboptimal=known_suboptimal)
-    repaired = greedy_complete(graph, raw)
-    return ConstructionOutput(graph.n, graph.k, pattern, repaired, predicted,
-                              raw_valid=False, repaired=True,
-                              repair_added=repaired - raw,
-                              known_suboptimal=known_suboptimal)
-
-
-def construct_k1(n: int) -> ConstructionOutput:
-    """Dominating set for P(n,1), n >= 8, of exactly the gamma_k1 size.
-
-    Full 8-column blocks each contribute six elements
-    {u_b, v_{b+1}v_{b+2}, u_{b+2}u_{b+3}, v_{b+4}, u_{b+5}u_{b+6},
-    v_{b+6}v_{b+7}}; the leftover columns get a case-table extension.
-    """
-    if n < 8:
-        raise OutOfRange(f"construct_k1 needs n >= 8, got {n} (use the solver instead)")
-    graph = build(n, 1)
-    m, r = divmod(n, 8)
-    s = ElementSet(n)
-    for i in range(m):
-        b = 8 * i
-        for e in (_u(n, b), _oe(n, b + 1), _ie(n, b + 2),
-                  _v(n, b + 4), _ie(n, b + 5), _oe(n, b + 6)):
-            s.add(e)
-    b = 8 * m
-    extension = {
-        0: (),
-        1: (_u(n, b), _oe(n, b)),
-        2: (_u(n, b), _oe(n, b + 1)),
-        3: (_u(n, b), _oe(n, b + 1), _ie(n, b + 1)),
-        4: (_u(n, b), _oe(n, b + 1), _ie(n, b + 2), _v(n, b + 3)),
-        5: (_u(n, b), _oe(n, b + 1), _ie(n, b + 2), _v(n, b + 4)),
-        6: (_u(n, b), _oe(n, b + 1), _ie(n, b + 2), _v(n, b + 4), _sp(n, b + 5)),
-        7: (_u(n, b), _oe(n, b + 1), _ie(n, b + 2), _v(n, b + 4), _ie(n, b + 5), _oe(n, b + 6)),
-    }[r]
-    for e in extension:
-        s.add(e)
-    return _finalize(graph, s, K1_BLOCK8, formulas.gamma_k1(n).value)
-
-
-def construct_k2_block4(n: int) -> ConstructionOutput:
-    """Dominating set for P(n,2), n >= 5, of exactly the gamma_k2 size.
-
-    Full 4-column blocks each contribute {v_b u_b, u_{b+1}u_{b+3}, v_{b+2}};
-    the n mod 4 leftover columns each get their spoke. Placing the extra
-    spokes on the leftover columns themselves (rather than one column
-    later) keeps the indices collision-free for every residue.
-    """
-    if n < 5:
-        raise OutOfRange(f"construct_k2_block4 needs n >= 5, got {n}")
-    graph = build(n, 2)
-    m, r = divmod(n, 4)
-    s = ElementSet(n)
-    for i in range(m):
-        b = 4 * i
-        for e in (_sp(n, b), _ie(n, b + 1), _v(n, b + 2)):
-            s.add(e)
-    for j in range(r):
-        s.add(_sp(n, 4 * m + j))
-    return _finalize(graph, s, K2_BLOCK4, formulas.gamma_k2(n).value)
-
-
-def construct_k2_block8(n: int) -> ConstructionOutput:
-    """Dominating set for P(n,2) from the alternate 8-column pattern, n >= 8.
-
-    Full blocks contribute {u_b, v_{b+1}v_{b+2}, u_{b+3}, v_{b+4}u_{b+4},
-    v_{b+5}v_{b+6}, v_{b+7}u_{b+7}}. The remainder gadgets below were found
-    by exact search and match the pattern's case formula; for n mod 8 in
-    {1, 4} that formula sits one above the true optimum, so those outputs
-    are flagged known_suboptimal.
-    """
-    if n < 8:
-        raise OutOfRange(f"construct_k2_block8 needs n >= 8, got {n}")
-    graph = build(n, 2)
-    m, r = divmod(n, 8)
-    s = ElementSet(n)
-    for i in range(m):
-        b = 8 * i
-        for e in (_u(n, b), _oe(n, b + 1), _u(n, b + 3),
-                  _sp(n, b + 4), _oe(n, b + 5), _sp(n, b + 7)):
-            s.add(e)
-    b = 8 * m
-    extension = {
-        0: (),
-        1: (_u(n, b), _v(n, b + 1)),
-        2: (_u(n, b), _sp(n, b + 1)),
-        3: (_u(n, b), _v(n, b + 1), _sp(n, b + 2)),
-        4: (_v(n, b), _u(n, b), _ie(n, b + 1), _oe(n, b + 2)),
-        5: (_u(n, b), _oe(n, b + 1), _u(n, b + 3), _sp(n, b + 4)),
-        6: (_u(n, b), _oe(n, b + 1), _u(n, b + 3), _sp(n, b + 4), _sp(n, b + 5)),
-        7: (_u(n, b), _v(n, b + 1), _sp(n, b + 2), _ie(n, b + 3), _v(n, b + 4), _sp(n, b + 6)),
-    }[r]
-    for e in extension:
-        s.add(e)
-    return _finalize(graph, s, K2_BLOCK8, formulas.gamma_k2_remark(n).value,
-                     known_suboptimal=r in (1, 4))
-
-
-def _general_blocks(n: int, k: int, s: ElementSet) -> tuple[int, int, int, int]:
+def _general_block(k: int) -> Gadget:
+    """k//2 inner vertices, k//2+1 spokes and k//2 outer edges over 4(k//2)+1 columns."""
     kp = k // 2
-    T = 4 * kp + 1
-    m, r = divmod(n, T)
-    for j in range(m):
-        b = T * j
-        if k % 2 == 0:
-            for i in range(kp):
-                s.add(_u(n, b + 2 * i))
-                s.add(_sp(n, b + 2 * i + 1))
-                s.add(_oe(n, b + 2 * kp + 2 * i))
-            s.add(_sp(n, b + 4 * kp))
-        else:
-            for i in range(kp):
-                s.add(_u(n, b + 2 * i + 1))
-                s.add(_sp(n, b + 2 * i + 2))
-                s.add(_oe(n, b + 2 * kp + 2 * i + 1))
-            s.add(_sp(n, b))
-    return kp, T, m, r
+    if k % 2:
+        return (_pairs(k, kp) + ((VU, 2 * kp),)
+                + tuple((VV, c) for c in range(2 * kp + 1, 4 * kp, 2)))
+    return _pairs(k, kp) + tuple((VV, c) for c in range(2 * kp, 4 * kp, 2)) + ((VU, 4 * kp),)
 
 
-def construct_general(n: int, k: int) -> ConstructionOutput:
-    """Candidate dominating set for P(n,k), k >= 3, within the general bound.
+@dataclass(frozen=True)
+class _GeneralRemainders:
+    """The general row's remainder table, one residue built on demand.
 
-    Per full block of width T = 4(k//2)+1: k//2 inner vertices, k//2+1
-    spokes and k//2 outer edges, staggered by one column for odd k. The
-    remainder gadget depends on the parities of k and r = n mod T and on
-    whether r exceeds 2*(k//2).
-
-    The odd-r remainder gadgets for r <= 2*(k//2) are one element short of
-    dominating by themselves; validation catches that and the greedy repair
-    (always a single element, logged on the output) brings the size exactly
-    to the bound.
+    The whole table holds O(k^2) elements, more than tiling a large-k
+    instance costs.
     """
-    if k < 3:
-        raise OutOfRange(f"construct_general needs k >= 3, got {k}")
-    if 2 * k >= n:
-        raise OutOfRange(f"need k < n/2, got n={n}, k={k}")
-    graph = build(n, k)
-    s = ElementSet(n)
-    kp, T, m, r = _general_blocks(n, k, s)
-    b = T * m
-    even = k % 2 == 0
-    if r > 0:
+
+    k: int
+
+    def __getitem__(self, r: int) -> Gadget:
+        kp = self.k // 2
         if r % 2 == 0:
-            # same gadget for both remainder regimes
-            for i in range(r // 2):
-                if even:
-                    s.add(_u(n, b + 2 * i))
-                    s.add(_sp(n, b + 2 * i + 1))
-                else:
-                    s.add(_u(n, b + 2 * i + 1))
-                    s.add(_sp(n, b + 2 * i))
-        elif r <= 2 * kp:
-            for i in range((r - 1) // 2):
-                if even:
-                    s.add(_u(n, b + 2 * i))
-                    s.add(_sp(n, b + 2 * i + 1))
-                else:
-                    s.add(_u(n, b + 2 * i + 1))
-                    s.add(_sp(n, b + 2 * i))
-            s.add(_sp(n, b + r - 1))
-            for i in range((2 * kp - r - 1) // 2):
-                s.add(_u(n, b - 2 * i - 2))
-        else:
-            if even:
-                for i in range(kp):
-                    s.add(_u(n, b + 2 * i))
-                    s.add(_sp(n, b + 2 * i + 1))
-                for i in range((r - 2 * kp + 1) // 2):
-                    s.add(_oe(n, b + 2 * kp + 2 * i))
-            else:
-                # odd k: inner vertices on odd offsets, spokes on even ones,
-                # mirroring the block gadget's stagger
-                for i in range(kp):
-                    s.add(_u(n, b + 2 * i + 1))
-                    s.add(_sp(n, b + 2 * i))
-                s.add(_sp(n, b + 2 * kp))
-                for i in range((r - 2 * kp - 1) // 2):
-                    s.add(_oe(n, b + 2 * kp + 2 * i + 1))
-    out = _finalize(graph, s, GENERAL, formulas.upper_bound_general(n, k).value)
-    if out.raw_valid and out.size > out.predicted_size:
-        raise AssertionError(
-            f"raw construction exceeds its bound: {out.size} > {out.predicted_size} "
-            f"for P({n},{k})"
-        )
-    return out
+            return _pairs(self.k, r // 2)
+        if r > 2 * kp:
+            # the block gadget cut off after r columns
+            return tuple(e for e in _general_block(self.k) if e[1] < r)
+        # one element short of dominating: the logged repair adds it back
+        return (_pairs(self.k, r // 2) + ((VU, r - 1),)
+                + tuple((U, -2 * i - 2) for i in range((2 * kp - r - 1) // 2)))
+
+
+def _general_row(k: int) -> Pattern:
+    return Pattern(k=k, width=4 * (k // 2) + 1, min_n=2 * k + 1, block=_general_block(k),
+                   remainders=_GeneralRemainders(k),
+                   formula=lambda n: formulas.upper_bound_general(n, k))
+
+
+def tile(n: int, width: int, block: Gadget,
+         remainders: tuple[Gadget, ...] | _GeneralRemainders) -> ElementSet:
+    """Raw set: ``block`` in each full block of ``width`` columns, then ``remainders[n % width]``."""
+    m, r = divmod(n, width)
+    starts = width * np.arange(m)
+    mask = np.zeros(5 * n, dtype=bool)
+    for kind, offset in block:
+        mask[kind * n + (starts + offset) % n] = True
+    for kind, offset in remainders[r]:
+        mask[kind * n + (width * m + offset) % n] = True
+    return ElementSet.from_mask(n, mask)
+
+
+def _row(pattern: str, k: int) -> Pattern:
+    if pattern == GENERAL:
+        if k < 3:
+            raise OutOfRange(f"pattern {GENERAL} needs k >= 3, got k={k}")
+        return _general_row(k)
+    if pattern not in _ROWS:
+        raise OutOfRange(f"unknown pattern {pattern!r}; choose from {', '.join(PATTERNS)}")
+    row = _ROWS[pattern]
+    if k != row.k:
+        raise OutOfRange(f"pattern {pattern} needs k={row.k}, got k={k}")
+    return row
 
 
 def construct(n: int, k: int, pattern: str) -> ConstructionOutput:
     """Run the named pattern, checking it applies to (n, k)."""
-    if pattern == K1_BLOCK8:
-        if k != 1:
-            raise OutOfRange(f"pattern {pattern} needs k=1, got k={k}")
-        return construct_k1(n)
-    if pattern == K2_BLOCK4:
-        if k != 2:
-            raise OutOfRange(f"pattern {pattern} needs k=2, got k={k}")
-        return construct_k2_block4(n)
-    if pattern == K2_BLOCK8:
-        if k != 2:
-            raise OutOfRange(f"pattern {pattern} needs k=2, got k={k}")
-        return construct_k2_block8(n)
-    if pattern == GENERAL:
-        return construct_general(n, k)
-    raise OutOfRange(f"unknown pattern {pattern!r}; choose from {', '.join(PATTERNS)}")
+    row = _row(pattern, k)
+    if n < row.min_n:
+        raise OutOfRange(f"pattern {pattern} needs n >= {row.min_n} for k={k}, got n={n}")
+    graph = build(n, k)
+    raw = tile(n, row.width, row.block, row.remainders)
+    raw_valid = verify(graph, raw).is_dominating
+    elements = raw if raw_valid else greedy_complete(graph, raw)
+    return ConstructionOutput(n, k, pattern, elements, row.formula(n).value,
+                              raw_valid=raw_valid, repaired=not raw_valid,
+                              repair_added=elements - raw,
+                              known_suboptimal=n % row.width in row.suboptimal)
+
+
+def construct_k1(n: int) -> ConstructionOutput:
+    """Dominating set for P(n,1), n >= 8, of exactly the gamma_k1 size."""
+    return construct(n, 1, K1_BLOCK8)
+
+
+def construct_k2_block4(n: int) -> ConstructionOutput:
+    """Dominating set for P(n,2), n >= 5, of exactly the gamma_k2 size."""
+    return construct(n, 2, K2_BLOCK4)
+
+
+def construct_k2_block8(n: int) -> ConstructionOutput:
+    """Dominating set for P(n,2), n >= 8, from the alternate 8-column pattern."""
+    return construct(n, 2, K2_BLOCK8)
+
+
+def construct_general(n: int, k: int) -> ConstructionOutput:
+    """Dominating set for P(n,k), k >= 3, within the general upper bound.
+
+    The odd-remainder gadgets for r = n mod (4(k//2)+1) <= 2(k//2) are one
+    element short of dominating; the greedy repair (a single element,
+    logged on the output) brings the size exactly to the bound.
+    """
+    return construct(n, k, GENERAL)
 
 
 def default_pattern(k: int) -> str:

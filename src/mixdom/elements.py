@@ -30,10 +30,6 @@ class ElementKind(IntEnum):
     INNER_EDGE = 4
 
 
-VERTEX_KINDS = (ElementKind.OUTER_VERTEX, ElementKind.INNER_VERTEX)
-EDGE_KINDS = (ElementKind.OUTER_EDGE, ElementKind.SPOKE, ElementKind.INNER_EDGE)
-
-
 @dataclass(frozen=True)
 class Element:
     """A vertex or edge of P(n,k), tagged by kind and column index."""
@@ -54,14 +50,6 @@ class Element:
             raise UnknownElement(f"element id {eid} outside [0, {5 * n})")
         kind, index = divmod(int(eid), n)
         return Element(ElementKind(kind), index)
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.kind in VERTEX_KINDS
-
-    @property
-    def is_edge(self) -> bool:
-        return self.kind in EDGE_KINDS
 
 
 def _as_id(item, n: int) -> int:

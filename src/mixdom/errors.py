@@ -13,10 +13,6 @@ class UnknownElement(MixdomError):
     """Canonical element id or index is outside the graph's universe."""
 
 
-class InvalidFactor(MixdomError):
-    """Partitioning factor outside 1..n."""
-
-
 class OutOfRange(MixdomError):
     """Construction or formula asked for parameters outside its domain."""
 

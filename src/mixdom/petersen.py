@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Element, ElementKind, ElementSet
-from .errors import InvalidFactor, InvalidSpec, UnknownElement
+from .elements import ElementKind, ElementSet, _as_id
+from .errors import InvalidSpec, UnknownElement
 
 NEIGHBORHOOD_SIZE = 7
 KINDS_PER_COLUMN = 5
@@ -83,12 +83,7 @@ class PetersenGraph:
         return 5 * self.n
 
     def element_id(self, item) -> int:
-        if isinstance(item, Element):
-            return item.id(self.n)
-        eid = int(item)
-        if not 0 <= eid < self.num_elements:
-            raise UnknownElement(f"element id {eid} outside [0, {self.num_elements})")
-        return eid
+        return _as_id(item, self.n)
 
     def mixed_neighborhood(self, item) -> ElementSet:
         """Closed mixed neighborhood: the element plus everything adjacent or incident."""
@@ -137,80 +132,6 @@ def build_graph(spec: GraphSpec) -> PetersenGraph:
 
 def build(n: int, k: int) -> PetersenGraph:
     return build_graph(GraphSpec(n, k))
-
-
-@dataclass(frozen=True)
-class Block:
-    """One block of a column decomposition.
-
-    ``vertices`` holds the at most 2t vertices of t consecutive columns,
-    ``internal_edges`` the edges with both endpoints inside the block, and
-    ``cross_edges`` the edges leaving the block forward (toward higher
-    columns, wrapping around). For t >= k every cross edge lands in the
-    next block, which is the usual between-consecutive-blocks reading.
-    """
-
-    index: int
-    vertices: ElementSet
-    internal_edges: ElementSet
-    cross_edges: ElementSet
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    t: int
-    n: int
-    blocks: tuple[Block, ...]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def remainder_columns(self) -> int:
-        return self.n % self.t
-
-
-def decompose(graph: PetersenGraph, t: int) -> BlockDecomposition:
-    """Split P(n,k) into ceil(n/t) blocks of t consecutive columns.
-
-    The last block keeps the n mod t leftover columns when t does not
-    divide n. Vertex sets partition V; each edge is assigned to exactly
-    one block's internal or cross set.
-    """
-    n, k = graph.n, graph.k
-    if not 1 <= t <= n:
-        raise InvalidFactor(f"partitioning factor must be in [1, {n}], got {t}")
-
-    num_blocks = -(-n // t)
-    block_of = np.arange(n) // t
-
-    verts = [[] for _ in range(num_blocks)]
-    internal = [[] for _ in range(num_blocks)]
-    cross = [[] for _ in range(num_blocks)]
-    for i in range(n):
-        b = block_of[i]
-        verts[b].append(i)
-        verts[b].append(n + i)
-        # spoke: both endpoints in column i
-        internal[b].append(3 * n + i)
-        # outer edge i -> columns i, i+1
-        b2 = block_of[(i + 1) % n]
-        (internal if b2 == b else cross)[b].append(2 * n + i)
-        # inner edge i -> columns i, i+k
-        b2 = block_of[(i + k) % n]
-        (internal if b2 == b else cross)[b].append(4 * n + i)
-
-    blocks = tuple(
-        Block(
-            index=b,
-            vertices=ElementSet(n, verts[b]),
-            internal_edges=ElementSet(n, internal[b]),
-            cross_edges=ElementSet(n, cross[b]),
-        )
-        for b in range(num_blocks)
-    )
-    return BlockDecomposition(t=t, n=n, blocks=blocks)
 
 
 def to_dot(graph: PetersenGraph, highlight: ElementSet | None = None) -> str:

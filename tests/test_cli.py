@@ -5,8 +5,15 @@ from mixdom import setfile
 from mixdom.cli import main
 
 
-def run(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+def run(*args, env=None):
+    return CliRunner().invoke(main, [str(a) for a in args], env=env)
+
+
+def assert_one_line_error(res):
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.output
 
 
 def test_build_dot_counts():
@@ -74,6 +81,12 @@ def test_verify_malformed_file(tmp_path):
     path.write_text("n=8 k=1 size=2\nv 1\n")
     res = run("verify", path)
     assert res.exit_code == 2
+
+
+def test_verify_instance_too_large_to_load(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("n=99999999999 k=1 source=x size=0\n")
+    assert_one_line_error(run("verify", path))
 
 
 def test_verify_instance_override_mismatch(tmp_path):
@@ -163,6 +176,12 @@ def test_compare_without_solver():
     assert res.exit_code == 0
     assert "exact" in res.output  # header present, exact column dashed
     assert " - " in res.output or " -" in res.output
+
+
+def test_compare_rejects_non_integer_workers():
+    res = run("compare", "--k", 1, "--n-start", 8, "--n-end", 9, env={"MIXDOM_WORKERS": "abc"})
+    assert_one_line_error(res)
+    assert "MIXDOM_WORKERS" in res.output
 
 
 def test_compare_rejects_empty_range():

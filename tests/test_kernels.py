@@ -75,6 +75,16 @@ def test_bb_search_node_budget(path_flag):
     assert res.nodes <= 48  # can overshoot by at most one chunk
 
 
+def test_numba_requested_without_numba_names_the_extra(monkeypatch):
+    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
+    g = md.build(9, 2)
+    with pytest.raises(md.MixdomError, match=r"mixdom\[numba\]"):
+        _kernels.greedy_fill(g.nbrs, np.zeros(45, dtype=bool), use_numba=True)
+    with pytest.raises(md.MixdomError, match="numba"):
+        md.solve_exact(g, use_numba=True)
+    assert md.solve_exact(g, use_numba=False).optimum == 7
+
+
 def test_env_flag_disables_numba():
     code = "import mixdom._kernels as k; print(k.numba_enabled())"
     env = dict(os.environ, MIXDOM_NO_NUMBA="1")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mixdom as md
-from mixdom import Element, ElementKind, ElementSet, GraphSpec, InvalidFactor, InvalidSpec
+from mixdom import Element, ElementKind, ElementSet, GraphSpec, InvalidSpec
 
 from oracles import ref_elements, ref_id, ref_neighborhood
 
@@ -91,54 +91,6 @@ def test_unknown_element_rejected():
         g.mixed_neighborhood(30)
     with pytest.raises(md.UnknownElement):
         g.edge_endpoints(0)  # a vertex
-
-
-def test_decompose_p10_1_factor_8():
-    d = md.decompose(md.build(10, 1), 8)
-    assert d.num_blocks == 2
-    assert len(d.blocks[0].vertices) == 16
-    assert len(d.blocks[1].vertices) == 4
-
-
-def test_decompose_exact_division():
-    d = md.decompose(md.build(8, 2), 4)
-    assert d.num_blocks == 2
-    assert all(len(b.vertices) == 8 for b in d.blocks)
-    assert d.remainder_columns == 0
-
-
-def test_decompose_p9_2_remainder_block():
-    g = md.build(9, 2)
-    d = md.decompose(g, 4)
-    assert d.num_blocks == 3
-    last = d.blocks[2]
-    assert {g.label(e) for e in last.vertices} == {"v8", "u8"}
-    # column-8 spoke is internal to the remainder block
-    assert {g.label(e) for e in last.internal_edges} == {"v8u8"}
-
-
-def test_decompose_partitions_everything():
-    for n, k, t in ((10, 1, 8), (9, 2, 4), (13, 3, 5), (12, 5, 3), (7, 2, 7), (11, 4, 1)):
-        g = md.build(n, k)
-        d = md.decompose(g, t)
-        assert sum(len(b.vertices) for b in d.blocks) == 2 * n
-        edge_total = sum(len(b.internal_edges) + len(b.cross_edges) for b in d.blocks)
-        assert edge_total == 3 * n, (n, k, t)
-        # no element in two buckets
-        union = ElementSet(n)
-        for b in d.blocks:
-            for part in (b.vertices, b.internal_edges, b.cross_edges):
-                assert len(union & part) == 0
-                union = union | part
-        assert len(union) == 5 * n
-
-
-def test_decompose_invalid_factor():
-    g = md.build(8, 1)
-    with pytest.raises(InvalidFactor):
-        md.decompose(g, 0)
-    with pytest.raises(InvalidFactor):
-        md.decompose(g, 9)
 
 
 def test_dot_export_plain():

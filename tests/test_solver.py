@@ -1,7 +1,7 @@
 import pytest
 
 import mixdom as md
-from mixdom import ElementSet, NoSolutionWithin, SolveBudget
+from mixdom import ElementSet, NoSolutionWithin, SolveBudget, _kernels
 
 from oracles import ref_min_dominating_size
 
@@ -75,6 +75,7 @@ def test_proved_optimum_bounds():
         assert res.optimum <= len(greedy)
 
 
+@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 def test_kernel_paths_agree():
     for n, k in ((7, 1), (9, 2), (10, 3), (8, 3)):
         g = md.build(n, k)
