@@ -3,16 +3,11 @@
 Subcommands: build, verify, construct, solve, formula, compare, table.
 Exit codes: 0 success / dominating, 1 verification failure, 2 invalid
 input, 3 solver stopped by budget before proving optimality.
-
-Sweep parallelism (the compare command) uses MIXDOM_WORKERS threads,
-defaulting to all available cores.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -36,16 +31,6 @@ def _graph(n: int, k: int):
         _fail(str(exc))
     except MemoryError:
         _fail(f"P({n},{k}) is too large to build in memory")
-
-
-def workers() -> int:
-    env = os.environ.get("MIXDOM_WORKERS", "")
-    if not env.strip():
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        _fail(f"MIXDOM_WORKERS must be an integer, got {env!r}")
 
 
 @click.group()
@@ -249,8 +234,7 @@ def compare(k, n_start, n_end, max_time, max_nodes, fmt):
     budget = None
     if max_time > 0:
         budget = SolveBudget(max_nodes=max_nodes, max_time=max_time)
-    with ThreadPoolExecutor(max_workers=workers()) as pool:
-        rows = list(pool.map(lambda n: compare_row(n, k, budget), ns))
+    rows = [compare_row(n, k, budget) for n in ns]
     if fmt == "records":
         for row in rows:
             click.echo(row.record())
@@ -305,7 +289,16 @@ def _table_small(n_start, n_end):
     _table_verdict(mismatches)
 
 
+def _require_domain(formula, *args):
+    """Exit 2 with the formula's message when a table starts below its domain."""
+    try:
+        formula(*args)
+    except MixdomError as exc:
+        _fail(str(exc))
+
+
 def _table_formula_vs_construction(title, k, lo, hi):
+    _require_domain(formulas.formula_for, lo, k)
     click.echo(f"{title}: formula vs construction size")
     click.echo(f"{'n':>5} {'formula':>8} {'constr':>7} {'agree':>6}")
     mismatches = 0
@@ -322,6 +315,7 @@ def _table_formula_vs_construction(title, k, lo, hi):
 
 
 def _table_k2remark(lo, hi):
+    _require_domain(formulas.gamma_k2_remark, lo)
     click.echo("k=2: 4-column formula vs alternate 8-column pattern")
     click.echo(f"{'n':>5} {'k2':>4} {'8col':>5} {'delta':>6} {'constr':>7} {'agree':>6}")
     mismatches = 0

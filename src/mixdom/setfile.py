@@ -108,7 +108,11 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, str, int]:
 
 def load(path) -> SetFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SetFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return loads(text)
 
 
 def dump(path, n: int, k: int, source: str, elements: ElementSet) -> None:

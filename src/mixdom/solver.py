@@ -54,7 +54,7 @@ class OptimalResult:
 
 
 def solve_exact(graph: PetersenGraph, budget: SolveBudget | None = None, *,
-                initial: ElementSet | None = None, use_numba=None) -> OptimalResult:
+                initial: ElementSet | None = None) -> OptimalResult:
     """Minimum mixed dominating set of the graph, proved when budget allows.
 
     The starting incumbent is the greedy completion of the empty set, or
@@ -64,14 +64,15 @@ def solve_exact(graph: PetersenGraph, budget: SolveBudget | None = None, *,
     detected and ignored by falling back to an unhinted search.
 
     On budget exhaustion ``proved`` is False and ``optimum`` is the best
-    incumbent size, an upper bound.
+    incumbent size, an upper bound. The search reads the clock once per
+    ``_kernels.CLOCK_EVERY`` nodes, so ``max_time`` is overshot by at most
+    that many nodes' work.
     """
     budget = budget or SolveBudget()
     budget.validate()
     t0 = time.monotonic()
 
-    greedy_ids = _kernels.greedy_fill(graph.nbrs, np.zeros(graph.num_elements, dtype=np.bool_),
-                                      use_numba=use_numba)
+    greedy_ids = _kernels.greedy_fill(graph.nbrs, np.zeros(graph.num_elements, dtype=np.bool_))
     incumbent = ElementSet(graph.n, greedy_ids)
     if initial is not None:
         if not verify(graph, initial).is_dominating:
@@ -89,7 +90,7 @@ def solve_exact(graph: PetersenGraph, budget: SolveBudget | None = None, *,
         remaining_time = None if deadline is None else max(deadline - time.monotonic(), 0.001)
         remaining_nodes = None if budget.max_nodes is None else budget.max_nodes - total_nodes
         res = _kernels.bb_search(graph.nbrs, cutoff, max_nodes=remaining_nodes,
-                                 max_time=remaining_time, use_numba=use_numba)
+                                 max_time=remaining_time)
         total_nodes += res.nodes
         if res.found or not res.completed or cutoff >= len(incumbent):
             break

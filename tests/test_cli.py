@@ -5,8 +5,8 @@ from mixdom import setfile
 from mixdom.cli import main
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, [str(a) for a in args], env=env)
+def run(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def assert_one_line_error(res):
@@ -87,6 +87,13 @@ def test_verify_instance_too_large_to_load(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("n=99999999999 k=1 source=x size=0\n")
     assert_one_line_error(run("verify", path))
+
+
+def test_set_file_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "binary.set"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert_one_line_error(run("verify", path))
+    assert_one_line_error(run("build", "--n", 3, "--k", 1, "--highlight", path))
 
 
 def test_verify_instance_override_mismatch(tmp_path):
@@ -178,12 +185,6 @@ def test_compare_without_solver():
     assert " - " in res.output or " -" in res.output
 
 
-def test_compare_rejects_non_integer_workers():
-    res = run("compare", "--k", 1, "--n-start", 8, "--n-end", 9, env={"MIXDOM_WORKERS": "abc"})
-    assert_one_line_error(res)
-    assert "MIXDOM_WORKERS" in res.output
-
-
 def test_compare_rejects_empty_range():
     assert run("compare", "--k", 5, "--n-start", 8, "--n-end", 10).exit_code == 2
     assert run("compare", "--k", 1, "--n-start", 10, "--n-end", 8).exit_code == 2
@@ -211,6 +212,11 @@ def test_table_k2remark():
     res = run("table", "--name", "k2remark")
     assert res.exit_code == 0
     assert "all cells agree" in res.output
+
+
+def test_table_start_below_formula_domain():
+    for name in ("k2", "k2remark"):
+        assert_one_line_error(run("table", "--name", name, "--n-start", 3))
 
 
 def test_table_general():

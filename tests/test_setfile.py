@@ -53,3 +53,10 @@ def test_header_source_defaults_to_unknown():
     sf = setfile.loads("n=5 k=2 size=0\n")
     assert sf.source == "unknown"
     assert len(sf.elements) == 0
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "binary.set"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(SetFileError, match="UTF-8"):
+        setfile.load(path)

@@ -1,7 +1,7 @@
 import pytest
 
 import mixdom as md
-from mixdom import ElementSet, NoSolutionWithin, SolveBudget, _kernels
+from mixdom import ElementSet, NoSolutionWithin, SolveBudget
 
 from oracles import ref_min_dominating_size
 
@@ -75,16 +75,23 @@ def test_proved_optimum_bounds():
         assert res.optimum <= len(greedy)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_kernel_paths_agree():
-    for n, k in ((7, 1), (9, 2), (10, 3), (8, 3)):
-        g = md.build(n, k)
-        a = md.solve_exact(g, use_numba=True)
-        b = md.solve_exact(g, use_numba=False)
-        assert a.optimum == b.optimum
-        assert a.proved and b.proved
-        assert sorted(a.witness) == sorted(b.witness), (n, k)
-        assert a.nodes_explored == b.nodes_explored
+# recorded node counts and sorted witnesses of the exact search; any change
+# to the branching order, the forbids or the pruning moves them
+SEARCH_ORDER = [
+    ((9, 2), 1313, [0, 1, 5, 30, 34, 38, 42]),
+    ((10, 3), 6724, [0, 1, 5, 6, 33, 38, 44, 49]),
+    ((11, 1), 14897, [0, 1, 3, 18, 27, 30, 45, 48, 53]),
+    ((12, 2), 102581, [0, 4, 8, 38, 42, 46, 49, 53, 57]),
+]
+
+
+@pytest.mark.parametrize("nk, nodes, witness", SEARCH_ORDER,
+                         ids=[f"P({n},{k})" for (n, k), _, _ in SEARCH_ORDER])
+def test_search_order_pinned(nk, nodes, witness):
+    res = md.solve_exact(md.build(*nk))
+    assert res.proved
+    assert res.nodes_explored == nodes
+    assert sorted(res.witness) == witness
 
 
 def test_witness_deterministic_across_runs():
@@ -110,6 +117,14 @@ def test_time_budget_tiny():
     assert md.verify(g, res.witness).is_dominating
     if not res.proved:
         assert res.optimum >= md.gamma_k1(14).value
+
+
+def test_time_budget_is_kept():
+    g = md.build(40, 1)
+    res = md.solve_exact(g, SolveBudget(max_time=0.2))
+    assert res.elapsed < 1.0
+    assert not res.proved
+    assert md.verify(g, res.witness).is_dominating
 
 
 def test_budget_validation():
