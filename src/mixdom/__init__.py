@@ -8,7 +8,7 @@ from .constructions import (
     construct_k2_block8,
 )
 from .domination import gamma_from_rd, greedy_complete, naive_lower_bound, redomination, verify
-from .elements import Element, ElementKind, ElementSet
+from .elements import ElementKind, ElementSet
 from .errors import (
     InvalidSpec,
     MixdomError,
@@ -24,7 +24,6 @@ from .solver import SolveBudget, solve_exact, solve_exhaustive
 __version__ = "0.1.0"
 
 __all__ = [
-    "Element",
     "ElementKind",
     "ElementSet",
     "GraphSpec",

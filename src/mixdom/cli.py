@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import click
 
-from . import constructions, formulas, setfile
+from . import constructions, elements, formulas, setfile
 from .domination import verify as verify_set
-from .errors import MixdomError
+from .errors import MixdomError, OutOfRange
 from .petersen import GraphSpec, build_graph, to_dot
 from .solver import SolveBudget, solve_exact, solve_exhaustive
 
@@ -106,24 +106,35 @@ def verify_cmd(path, n, k):
 def construct(n, k, pattern, output):
     """Build a candidate mixed dominating set from a block pattern."""
     pattern = pattern or constructions.default_pattern(k)
-    graph = _graph(n, k)
     try:
+        GraphSpec(n, k).validate()
         out = constructions.construct(n, k, pattern)
     except MixdomError as exc:
         _fail(str(exc))
+    except MemoryError:
+        _fail(f"P({n},{k}) is too large to build in memory")
     click.echo(f"instance: P({n},{k})")
     click.echo(f"pattern: {out.pattern}")
     click.echo(f"size: {out.size}")
     click.echo(f"predicted_size: {out.predicted_size}")
     click.echo(f"raw_valid: {'yes' if out.raw_valid else 'no'}")
     if out.repaired:
-        added = " ".join(graph.label(e) for e in out.repair_added)
+        added = " ".join(elements.label(n, k, e) for e in out.repair_added)
         click.echo(f"repair_added: {added}")
     if out.known_suboptimal:
         click.echo("note: pattern is one above the optimum for this residue")
     if output:
         setfile.dump(output, n, k, f"construct:{out.pattern}", out.elements)
         click.echo(f"wrote {output}")
+
+
+def _budget(**limits) -> SolveBudget:
+    budget = SolveBudget(**limits)
+    try:
+        budget.validate()
+    except ValueError as exc:
+        _fail(str(exc))
+    return budget
 
 
 @main.command()
@@ -136,11 +147,7 @@ def construct(n, k, pattern, output):
 def solve(n, k, max_time, max_nodes, hint, output):
     """Exact minimum mixed dominating set by branch-and-bound."""
     graph = _graph(n, k)
-    try:
-        budget = SolveBudget(max_nodes=max_nodes, max_time=max_time, upper_bound_hint=hint)
-        budget.validate()
-    except ValueError as exc:
-        _fail(str(exc))
+    budget = _budget(max_nodes=max_nodes, max_time=max_time, upper_bound_hint=hint)
     result = solve_exact(graph, budget)
     click.echo(f"instance: P({n},{k})")
     click.echo(f"optimum: {result.optimum}" + ("" if result.proved else " (upper bound)"))
@@ -226,14 +233,14 @@ def compare_row(n: int, k: int, budget: SolveBudget | None) -> CompareRow:
 @click.option("--format", "fmt", type=click.Choice(["table", "records"]), default="table")
 def compare(k, n_start, n_end, max_time, max_nodes, fmt):
     """Cross-check constructions, formulas and the exact solver over a range of n."""
+    if k < 1:
+        _fail(f"k must be >= 1, got {k}")
     if n_start > n_end:
         _fail("--n-start must be <= --n-end")
     ns = [n for n in range(n_start, n_end + 1) if 2 * k < n and n >= 3]
     if not ns:
         _fail(f"no valid n in [{n_start}, {n_end}] for k={k}")
-    budget = None
-    if max_time > 0:
-        budget = SolveBudget(max_nodes=max_nodes, max_time=max_time)
+    budget = None if max_time == 0 else _budget(max_nodes=max_nodes, max_time=max_time)
     rows = [compare_row(n, k, budget) for n in ns]
     if fmt == "records":
         for row in rows:
@@ -274,18 +281,22 @@ TABLE1_REFERENCE = {1: 1, 2: 2, **formulas.SMALL_K1}
 
 
 def _table_small(n_start, n_end):
-    lo, hi = n_start or 1, n_end or 7
+    first, last = min(TABLE1_REFERENCE), max(TABLE1_REFERENCE)
+    lo = first if n_start is None else n_start
+    hi = last if n_end is None else n_end
+    if lo < first or hi > last:
+        _fail(f"table1 has reference values for n = {first}..{last}, got n = {lo}..{hi}")
     mismatches = 0
     click.echo(f"{'n':>3} {'reference':>10} {'computed':>9} {'agree':>6}")
     for n in range(lo, hi + 1):
-        ref = TABLE1_REFERENCE.get(n)
+        ref = TABLE1_REFERENCE[n]
         if n < 3:
             click.echo(f"{n:>3} {ref:>10} {'n/a':>9} {'-':>6}")
             continue
         got = solve_exhaustive(build_graph(GraphSpec(n, 1)), max_size=8).optimum
-        ok = ref is not None and got == ref
+        ok = got == ref
         mismatches += 0 if ok else 1
-        click.echo(f"{n:>3} {('?' if ref is None else ref):>10} {got:>9} {'ok' if ok else '!':>6}")
+        click.echo(f"{n:>3} {ref:>10} {got:>9} {'ok' if ok else '!':>6}")
     _table_verdict(mismatches)
 
 
@@ -306,11 +317,12 @@ def _table_formula_vs_construction(title, k, lo, hi):
         f = formulas.formula_for(n, k)
         try:
             con = constructions.construct(n, k, constructions.default_pattern(k))
-        except MixdomError:
-            con = None
-        ok = con is not None and con.size == f.value and not con.repaired
+        except OutOfRange:  # n below the pattern's min_n
+            click.echo(f"{n:>5} {f.value:>8} {'n/a':>7} {'-':>6}")
+            continue
+        ok = con.size == f.value and not con.repaired
         mismatches += 0 if ok else 1
-        click.echo(f"{n:>5} {f.value:>8} {con.size if con else '-':>7} {'ok' if ok else '!':>6}")
+        click.echo(f"{n:>5} {f.value:>8} {con.size:>7} {'ok' if ok else '!':>6}")
     _table_verdict(mismatches)
 
 

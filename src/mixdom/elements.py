@@ -1,20 +1,22 @@
 """Elements (vertices and edges) of P(n,k) and dense sets over them.
 
-Every vertex or edge of P(n,k) has a canonical integer id in [0, 5n):
+An element is its canonical integer id in [0, 5n), ``kind * n + i`` with
+the column index i reduced mod n. This module is the one place that
+decodes an id:
 
-    outer vertex  v_i            -> i
-    inner vertex  u_i            -> n + i
-    outer edge    v_i v_{i+1}    -> 2n + i
-    spoke         v_i u_i        -> 3n + i
-    inner edge    u_i u_{i+k}    -> 4n + i
+    kind          tag  element        id       label
+    outer vertex  v    v_i            i        v3
+    inner vertex  u    u_i            n + i    u3
+    outer edge    vv   v_i v_{i+1}    2n + i   v3v4
+    spoke         vu   v_i u_i        3n + i   v3u3
+    inner edge    uu   u_i u_{i+k}    4n + i   u3u5  (k = 2)
 
-Edges are keyed by their lower construction index i; indices are always
-reduced mod n.
+Edges are keyed by their lower construction index i. Set files write an
+element as ``<tag> <i>``; an edge's label joins its endpoints' labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -30,51 +32,50 @@ class ElementKind(IntEnum):
     INNER_EDGE = 4
 
 
-@dataclass(frozen=True)
-class Element:
-    """A vertex or edge of P(n,k), tagged by kind and column index."""
-
-    kind: ElementKind
-    index: int
-
-    def id(self, n: int) -> int:
-        """Canonical id of this element in the 5n universe."""
-        if not 0 <= self.index < n:
-            raise UnknownElement(f"index {self.index} outside [0, {n})")
-        return int(self.kind) * n + self.index
-
-    @staticmethod
-    def from_id(eid: int, n: int) -> "Element":
-        """Inverse of :meth:`id`."""
-        if not 0 <= eid < 5 * n:
-            raise UnknownElement(f"element id {eid} outside [0, {5 * n})")
-        kind, index = divmod(int(eid), n)
-        return Element(ElementKind(kind), index)
+TAGS = ("v", "u", "vv", "vu", "uu")
 
 
-def _as_id(item, n: int) -> int:
-    if isinstance(item, Element):
-        return item.id(n)
-    eid = int(item)
+def _as_id(eid, n: int) -> int:
+    eid = int(eid)
     if not 0 <= eid < 5 * n:
         raise UnknownElement(f"element id {eid} outside [0, {5 * n})")
     return eid
 
 
+def endpoints(n: int, k: int, eid) -> tuple[int, int]:
+    """Vertex ids of an edge element's two endpoints."""
+    eid = _as_id(eid, n)
+    kind, i = divmod(eid, n)
+    if kind == ElementKind.OUTER_EDGE:
+        return i, (i + 1) % n
+    if kind == ElementKind.SPOKE:
+        return i, n + i
+    if kind == ElementKind.INNER_EDGE:
+        return n + i, n + (i + k) % n
+    raise UnknownElement(f"element id {eid} is a vertex, not an edge")
+
+
+def label(n: int, k: int, eid) -> str:
+    """Human-readable name: v3, u5, v3v4, v3u3, u3u5."""
+    eid = _as_id(eid, n)
+    if eid < 2 * n:
+        return f"{TAGS[eid // n]}{eid % n}"
+    return "".join(label(n, k, end) for end in endpoints(n, k, eid))
+
+
 class ElementSet:
     """Dense, mutable set of canonical element ids over the 5n universe.
 
-    Accepts either ids or :class:`Element` values everywhere. Iteration
-    yields ids in ascending order.
+    Iteration yields ids in ascending order.
     """
 
     __slots__ = ("n", "_mask")
 
-    def __init__(self, n: int, items=()):
+    def __init__(self, n: int, ids=()):
         self.n = int(n)
         self._mask = np.zeros(5 * self.n, dtype=bool)
-        for item in items:
-            self._mask[_as_id(item, self.n)] = True
+        for eid in ids:
+            self._mask[_as_id(eid, self.n)] = True
 
     @classmethod
     def from_mask(cls, n: int, mask: np.ndarray) -> "ElementSet":
@@ -90,20 +91,17 @@ class ElementSet:
     def ids(self) -> np.ndarray:
         return np.flatnonzero(self._mask)
 
-    def elements(self) -> list[Element]:
-        return [Element.from_id(i, self.n) for i in self.ids()]
+    def add(self, eid) -> None:
+        self._mask[_as_id(eid, self.n)] = True
 
-    def add(self, item) -> None:
-        self._mask[_as_id(item, self.n)] = True
-
-    def discard(self, item) -> None:
-        self._mask[_as_id(item, self.n)] = False
+    def discard(self, eid) -> None:
+        self._mask[_as_id(eid, self.n)] = False
 
     def copy(self) -> "ElementSet":
         return ElementSet.from_mask(self.n, self._mask)
 
-    def __contains__(self, item) -> bool:
-        return bool(self._mask[_as_id(item, self.n)])
+    def __contains__(self, eid) -> bool:
+        return bool(self._mask[_as_id(eid, self.n)])
 
     def __len__(self) -> int:
         return int(self._mask.sum())

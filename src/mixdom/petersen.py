@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import ElementKind, ElementSet, _as_id
-from .errors import InvalidSpec, UnknownElement
+from . import elements
+from .elements import ElementSet, _as_id
+from .errors import InvalidSpec
 
 NEIGHBORHOOD_SIZE = 7
-KINDS_PER_COLUMN = 5
 
 
 @dataclass(frozen=True)
@@ -92,31 +92,11 @@ class PetersenGraph:
 
     def edge_endpoints(self, item) -> tuple[int, int]:
         """Vertex ids of an edge element's two endpoints."""
-        eid = self.element_id(item)
-        n, k = self.n, self.k
-        kind, i = divmod(eid, n)
-        if kind == ElementKind.OUTER_EDGE:
-            return i, (i + 1) % n
-        if kind == ElementKind.SPOKE:
-            return i, n + i
-        if kind == ElementKind.INNER_EDGE:
-            return n + i, n + (i + k) % n
-        raise UnknownElement(f"element id {eid} is a vertex, not an edge")
+        return elements.endpoints(self.n, self.k, item)
 
     def label(self, item) -> str:
         """Human-readable name: v3, u5, v3v4, v3u3, u3u5."""
-        eid = self.element_id(item)
-        n, k = self.n, self.k
-        kind, i = divmod(eid, n)
-        if kind == ElementKind.OUTER_VERTEX:
-            return f"v{i}"
-        if kind == ElementKind.INNER_VERTEX:
-            return f"u{i}"
-        if kind == ElementKind.OUTER_EDGE:
-            return f"v{i}v{(i + 1) % n}"
-        if kind == ElementKind.SPOKE:
-            return f"v{i}u{i}"
-        return f"u{i}u{(i + k) % n}"
+        return elements.label(self.n, self.k, item)
 
     def universe(self) -> ElementSet:
         return ElementSet.from_mask(self.n, np.ones(self.num_elements, dtype=bool))
@@ -136,22 +116,14 @@ def build(n: int, k: int) -> PetersenGraph:
 
 def to_dot(graph: PetersenGraph, highlight: ElementSet | None = None) -> str:
     """Render the graph in DOT, drawing highlighted elements bold/filled."""
-    n = graph.n
     hl = highlight.mask if highlight is not None else np.zeros(graph.num_elements, dtype=bool)
-    lines = [f'graph "P({n},{graph.k})" {{']
-    for i in range(n):
-        style = " [style=filled, fillcolor=black, fontcolor=white]" if hl[i] else ""
-        lines.append(f"  v{i}{style};")
-    for i in range(n):
-        style = " [style=filled, fillcolor=black, fontcolor=white]" if hl[n + i] else ""
-        lines.append(f"  u{i}{style};")
-    for kind in (ElementKind.OUTER_EDGE, ElementKind.SPOKE, ElementKind.INNER_EDGE):
-        for i in range(n):
-            eid = int(kind) * n + i
-            a, b = graph.edge_endpoints(eid)
-            na = f"v{a}" if a < n else f"u{a - n}"
-            nb = f"v{b}" if b < n else f"u{b - n}"
-            style = " [style=bold, penwidth=3]" if hl[eid] else ""
-            lines.append(f"  {na} -- {nb}{style};")
+    lines = [f'graph "P({graph.n},{graph.k})" {{']
+    for v in range(graph.num_vertices):
+        style = " [style=filled, fillcolor=black, fontcolor=white]" if hl[v] else ""
+        lines.append(f"  {graph.label(v)}{style};")
+    for eid in range(graph.num_vertices, graph.num_elements):
+        a, b = graph.edge_endpoints(eid)
+        style = " [style=bold, penwidth=3]" if hl[eid] else ""
+        lines.append(f"  {graph.label(a)} -- {graph.label(b)}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,25 +11,21 @@ Layout::
 
 The header carries the instance and provenance; each following line is an
 element as ``<tag> <index>`` with tags v, u (vertices), vv (outer edge),
-vu (spoke), uu (inner edge) and index in [0, n). Files round-trip
-losslessly; duplicate elements and out-of-range indices are rejected.
+vu (spoke), uu (inner edge) and index in [0, n), decoded by
+:mod:`mixdom.elements`. Files round-trip losslessly; duplicate elements and
+out-of-range indices are rejected, naming the first such line in the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import Element, ElementKind, ElementSet
+import numpy as np
+
+from .elements import TAGS, ElementSet
 from .errors import SetFileError
 
-TAG_OF_KIND = {
-    ElementKind.OUTER_VERTEX: "v",
-    ElementKind.INNER_VERTEX: "u",
-    ElementKind.OUTER_EDGE: "vv",
-    ElementKind.SPOKE: "vu",
-    ElementKind.INNER_EDGE: "uu",
-}
-KIND_OF_TAG = {tag: kind for kind, tag in TAG_OF_KIND.items()}
+KIND_OF_TAG = {tag: kind for kind, tag in enumerate(TAGS)}
 
 
 @dataclass(frozen=True)
@@ -45,16 +41,16 @@ class SetFile:
 
 
 def dumps(n: int, k: int, source: str, elements: ElementSet) -> str:
-    lines = [f"n={n} k={k} source={source} size={len(elements)}"]
-    for eid in elements:
-        el = Element.from_id(eid, n)
-        lines.append(f"{TAG_OF_KIND[el.kind]} {el.index}")
+    kinds, indices = np.divmod(elements.ids(), n)
+    lines = [f"n={n} k={k} source={source} size={len(kinds)}"]
+    lines += [f"{TAGS[kind]} {i}" for kind, i in zip(kinds.tolist(), indices.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def loads(text: str) -> SetFile:
     header = None
-    body: list[tuple[str, int]] = []
+    kinds: list[int] = []
+    indices: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -66,25 +62,34 @@ def loads(text: str) -> SetFile:
         if len(parts) != 2 or parts[0] not in KIND_OF_TAG:
             raise SetFileError(f"line {lineno}: expected '<tag> <index>', got {line!r}")
         try:
-            idx = int(parts[1])
+            indices.append(int(parts[1]))
         except ValueError:
             raise SetFileError(f"line {lineno}: bad index {parts[1]!r}") from None
-        body.append((parts[0], idx))
+        kinds.append(KIND_OF_TAG[parts[0]])
     if header is None:
         raise SetFileError("missing header line 'n=.. k=.. source=.. size=..'")
 
     n, k, source, size = header
-    elements = ElementSet(n)
-    for tag, idx in body:
-        if not 0 <= idx < n:
-            raise SetFileError(f"index {idx} outside [0, {n})")
-        el = Element(KIND_OF_TAG[tag], idx)
-        if el in elements:
-            raise SetFileError(f"duplicate element {tag} {idx}")
-        elements.add(el)
-    if len(elements) != size:
-        raise SetFileError(f"header says size={size} but file lists {len(elements)} elements")
-    return SetFile(n=n, k=k, source=source, elements=elements)
+    mask = np.zeros(5 * n, dtype=bool)
+    # an index beyond int64 makes this an object or float array; the range test stays exact
+    index = np.array(indices)
+    outside = (index < 0) | (index >= n)
+    # Outside indices become 0, so their ids may alias real elements. The
+    # false repeats this makes all come after an outside line, reported first.
+    ids = np.array(kinds, dtype=np.int64) * n + np.where(outside, 0, index).astype(np.int64)
+    order = np.argsort(ids, kind="stable")
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    offending = np.flatnonzero(outside | repeated)
+    if len(offending):
+        first = offending[0]
+        if outside[first]:
+            raise SetFileError(f"index {indices[first]} outside [0, {n})")
+        raise SetFileError(f"duplicate element {TAGS[kinds[first]]} {indices[first]}")
+    if len(ids) != size:
+        raise SetFileError(f"header says size={size} but file lists {len(ids)} elements")
+    mask[ids] = True
+    return SetFile(n=n, k=k, source=source, elements=ElementSet.from_mask(n, mask))
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int, str, int]:

@@ -38,7 +38,7 @@ class SolveBudget:
     def validate(self) -> None:
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
-        if self.max_time is not None and self.max_time <= 0:
+        if self.max_time is not None and not self.max_time > 0:  # NaN too
             raise ValueError(f"max_time must be positive, got {self.max_time}")
         if self.upper_bound_hint is not None and self.upper_bound_hint <= 0:
             raise ValueError(f"upper_bound_hint must be positive, got {self.upper_bound_hint}")

@@ -1,3 +1,4 @@
+import pytest
 from click.testing import CliRunner
 
 import mixdom as md
@@ -87,6 +88,10 @@ def test_verify_instance_too_large_to_load(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("n=99999999999 k=1 source=x size=0\n")
     assert_one_line_error(run("verify", path))
+
+
+def test_construct_instance_too_large_to_build():
+    assert_one_line_error(run("construct", "--n", 99999999999, "--k", 1))
 
 
 def test_set_file_not_utf8_is_rejected(tmp_path):
@@ -217,6 +222,35 @@ def test_table_k2remark():
 def test_table_start_below_formula_domain():
     for name in ("k2", "k2remark"):
         assert_one_line_error(run("table", "--name", name, "--n-start", 3))
+
+
+@pytest.mark.parametrize("bounds", [(-1, None), (0, None), (8, 10), (11, 11)])
+def test_table1_outside_its_reference_rows(bounds):
+    lo, hi = bounds
+    args = ["--n-start", lo] + ([] if hi is None else ["--n-end", hi])
+    assert_one_line_error(run("table", "--name", "table1", *args))
+
+
+def test_table_eq1_rows_below_the_pattern_are_not_mismatches():
+    res = run("table", "--name", "eq1", "--n-start", 3, "--n-end", 8)
+    assert res.exit_code == 0, res.output
+    rows = res.output.splitlines()[2:-1]
+    assert [r.split() for r in rows[:5]] == [[str(n), str(f), "n/a", "-"]
+                                             for n, f in ((3, 3), (4, 4), (5, 4), (6, 5), (7, 6))]
+    assert rows[5].split() == ["8", "6", "6", "ok"]
+    assert res.output.endswith("all cells agree\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--k", 0, "--n-start", 5, "--n-end", 6, "--max-time", 0],
+    ["compare", "--k", -1, "--n-start", 5, "--n-end", 6],
+    ["compare", "--k", 1, "--n-start", 5, "--n-end", 6, "--max-time", "nan"],
+    ["compare", "--k", 1, "--n-start", 5, "--n-end", 6, "--max-time", -1],
+    ["compare", "--k", 1, "--n-start", 5, "--n-end", 6, "--max-nodes", 0],
+    ["solve", "--n", 10, "--k", 1, "--max-time", "nan"],
+])
+def test_bad_k_or_time_budget_rejected(args):
+    assert_one_line_error(run(*args))
 
 
 def test_table_general():

@@ -7,8 +7,8 @@ from mixdom.constructions import GENERAL, K1_BLOCK8, K2_BLOCK4, K2_BLOCK8, const
 
 def kinds_histogram(out):
     hist = {kind: 0 for kind in ElementKind}
-    for el in out.elements.elements():
-        hist[el.kind] += 1
+    for eid in out.elements:
+        hist[eid // out.n] += 1
     return hist
 
 

@@ -1,35 +1,30 @@
 import numpy as np
 import pytest
 
-from mixdom import Element, ElementKind, ElementSet, UnknownElement
-
-
-def test_canonical_id_roundtrip():
-    for n in (3, 8, 17):
-        seen = set()
-        for eid in range(5 * n):
-            el = Element.from_id(eid, n)
-            assert el.id(n) == eid
-            seen.add(el)
-        assert len(seen) == 5 * n
+from mixdom import ElementKind, ElementSet, UnknownElement
+from mixdom.elements import label
 
 
 def test_id_layout_matches_kind_blocks():
-    n = 9
-    assert Element(ElementKind.OUTER_VERTEX, 4).id(n) == 4
-    assert Element(ElementKind.INNER_VERTEX, 4).id(n) == n + 4
-    assert Element(ElementKind.OUTER_EDGE, 4).id(n) == 2 * n + 4
-    assert Element(ElementKind.SPOKE, 4).id(n) == 3 * n + 4
-    assert Element(ElementKind.INNER_EDGE, 4).id(n) == 4 * n + 4
+    n, k = 9, 2
+    assert ElementKind.OUTER_VERTEX * n + 4 == 4
+    assert ElementKind.INNER_VERTEX * n + 4 == n + 4
+    assert ElementKind.OUTER_EDGE * n + 4 == 2 * n + 4
+    assert ElementKind.SPOKE * n + 4 == 3 * n + 4
+    assert ElementKind.INNER_EDGE * n + 4 == 4 * n + 4
+    for i in range(n):
+        j, jk = (i + 1) % n, (i + k) % n
+        assert [label(n, k, kind * n + i) for kind in ElementKind] == [
+            f"v{i}", f"u{i}", f"v{i}v{j}", f"v{i}u{i}", f"u{i}u{jk}"]
 
 
 def test_out_of_range_ids_rejected():
     with pytest.raises(UnknownElement):
-        Element.from_id(40, 8)
+        ElementSet(8, [40])
     with pytest.raises(UnknownElement):
-        Element.from_id(-1, 8)
+        ElementSet(8, [-1])
     with pytest.raises(UnknownElement):
-        Element(ElementKind.SPOKE, 8).id(8)
+        label(8, 1, 40)
 
 
 def test_set_membership_consistent_with_cardinality():
@@ -37,7 +32,7 @@ def test_set_membership_consistent_with_cardinality():
     assert len(s) == 3
     assert 5 in s and 39 in s and 1 not in s
     assert list(s) == [0, 5, 39]
-    s.add(Element(ElementKind.INNER_EDGE, 7))  # id 39 again
+    s.add(ElementKind.INNER_EDGE * 8 + 7)  # id 39 again
     assert len(s) == 3
     s.discard(0)
     assert len(s) == 2 and 0 not in s
@@ -64,6 +59,5 @@ def test_from_mask_and_elements():
     mask = np.zeros(30, dtype=bool)
     mask[[3, 14]] = True
     s = ElementSet.from_mask(6, mask)
-    els = s.elements()
-    assert [e.kind for e in els] == [ElementKind.OUTER_VERTEX, ElementKind.OUTER_EDGE]
-    assert [e.index for e in els] == [3, 2]
+    assert s.ids().tolist() == [3, 14]
+    assert [divmod(eid, 6) for eid in s] == [(ElementKind.OUTER_VERTEX, 3), (ElementKind.OUTER_EDGE, 2)]

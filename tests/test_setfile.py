@@ -60,3 +60,43 @@ def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(SetFileError, match="UTF-8"):
         setfile.load(path)
+
+
+# Exact bytes of two set files. The format is read by other programs, so a
+# change to how dumps writes an element must show up here.
+GENERAL_40_5 = (
+    "n=40 k=5 source=construct:general size=32\n"
+    "u 1\nu 3\nu 10\nu 12\nu 19\nu 21\nu 28\nu 30\nu 37\nu 39\n"
+    "vv 5\nvv 7\nvv 14\nvv 16\nvv 23\nvv 25\nvv 32\nvv 34\n"
+    "vu 0\nvu 2\nvu 4\nvu 9\nvu 11\nvu 13\nvu 18\nvu 20\nvu 22\nvu 27\nvu 29\nvu 31\nvu 36\nvu 38\n"
+)
+UNIVERSE_7_3 = (
+    "n=7 k=3 source=universe size=35\n"
+    "v 0\nv 1\nv 2\nv 3\nv 4\nv 5\nv 6\n"
+    "u 0\nu 1\nu 2\nu 3\nu 4\nu 5\nu 6\n"
+    "vv 0\nvv 1\nvv 2\nvv 3\nvv 4\nvv 5\nvv 6\n"
+    "vu 0\nvu 1\nvu 2\nvu 3\nvu 4\nvu 5\nvu 6\n"
+    "uu 0\nuu 1\nuu 2\nuu 3\nuu 4\nuu 5\nuu 6\n"
+)
+
+
+def test_dumps_text_is_pinned():
+    out = md.construct_general(40, 5)
+    assert setfile.dumps(40, 5, "construct:general", out.elements) == GENERAL_40_5
+    assert setfile.dumps(7, 3, "universe", md.build(7, 3).universe()) == UNIVERSE_7_3
+    assert setfile.loads(GENERAL_40_5).elements == out.elements
+
+
+@pytest.mark.parametrize("body, message", [
+    ("v 1\nv 1\nu 9\n", "duplicate element v 1"),
+    ("u 9\nv 1\nv 1\n", "index 9 outside [0, 9)"),
+    ("v 0\nu 0\nv 9\n", "index 9 outside [0, 9)"),
+    ("v 9\nv 0\nu 0\n", "index 9 outside [0, 9)"),
+    ("vu -1\nv 1\nv 1\n", "index -1 outside [0, 9)"),
+    ("v 1\nv 1\nuu 10000000000000000000000\n", "duplicate element v 1"),
+    ("v 1\nuu 10000000000000000000000\nv 1\n", "index 10000000000000000000000 outside [0, 9)"),
+])
+def test_loads_reports_the_first_offending_line(body, message):
+    with pytest.raises(SetFileError) as exc:
+        setfile.loads(f"n=9 k=2 source=x size=3\n{body}")
+    assert str(exc.value) == message
