@@ -3,12 +3,19 @@
 Subcommands: build, verify, construct, solve, formula, compare, table.
 Exit codes: 0 success / dominating, 1 verification failure, 2 invalid
 input, 3 solver stopped by budget before proving optimality.
+
+Every input error exits 2 with one ``error:`` line and no traceback: an
+invalid instance (n above petersen.MAX_N = 429,496,729 included), a bad
+budget, a malformed, unreadable or unwritable set file, or an instance too
+large for memory. Commands raise; the group's ``invoke`` is the one place
+that turns a MixdomError or MemoryError into that line.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import click
 
@@ -19,21 +26,24 @@ from .petersen import GraphSpec, build_graph, to_dot
 from .solver import SolveBudget, solve_exact, solve_exhaustive
 
 
-def _fail(message: str, code: int = 2):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
-def _graph(n: int, k: int):
-    try:
-        return build_graph(GraphSpec(n, k))
-    except MixdomError as exc:
-        _fail(str(exc))
-    except MemoryError:
-        _fail(f"P({n},{k}) is too large to build in memory")
+class _Main(click.Group):
+    """The command group; its invoke is the CLI's one error boundary."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MixdomError as exc:
+            _fail(str(exc))
+        except MemoryError:
+            _fail("instance too large to fit in memory")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Mixed dominating sets on generalized Petersen graphs P(n,k)."""
 
@@ -46,7 +56,7 @@ def main():
               help="Set file whose elements are drawn bold/filled (dot only).")
 def build(n, k, fmt, highlight):
     """Emit the graph as DOT, or the instance's element universe as a set file."""
-    graph = _graph(n, k)
+    graph = build_graph(GraphSpec(n, k))
     if fmt == "setfile-schema":
         click.echo("# element tags: v=outer vertex, u=inner vertex, "
                    "vv=outer edge, vu=spoke, uu=inner edge; index in [0, n)")
@@ -54,22 +64,11 @@ def build(n, k, fmt, highlight):
         return
     hl = None
     if highlight is not None:
-        sf = _load_setfile(highlight)
+        sf = setfile.load(highlight)
         if (sf.n, sf.k) != (n, k):
             _fail(f"highlight file is for P({sf.n},{sf.k}), not P({n},{k})")
         hl = sf.elements
     click.echo(to_dot(graph, hl), nl=False)
-
-
-def _load_setfile(path):
-    try:
-        return setfile.load(path)
-    except OSError as exc:
-        _fail(f"cannot read {path}: {exc}")
-    except MixdomError as exc:
-        _fail(f"{path}: {exc}")
-    except MemoryError:
-        _fail(f"{path}: instance too large to load in memory")
 
 
 @main.command("verify")
@@ -78,12 +77,12 @@ def _load_setfile(path):
 @click.option("--k", "k", type=int, default=None, help="Expected k (checked against the file).")
 def verify_cmd(path, n, k):
     """Check that the set in PATH mixed-dominates its P(n,k)."""
-    sf = _load_setfile(path)
+    sf = setfile.load(path)
     if n is not None and n != sf.n:
         _fail(f"file is for n={sf.n}, expected n={n}")
     if k is not None and k != sf.k:
         _fail(f"file is for k={sf.k}, expected k={k}")
-    graph = _graph(sf.n, sf.k)
+    graph = build_graph(GraphSpec(sf.n, sf.k))
     report = verify_set(graph, sf.elements)
     click.echo(f"instance: P({sf.n},{sf.k})")
     click.echo(f"size: {sf.size}")
@@ -106,13 +105,8 @@ def verify_cmd(path, n, k):
 def construct(n, k, pattern, output):
     """Build a candidate mixed dominating set from a block pattern."""
     pattern = pattern or constructions.default_pattern(k)
-    try:
-        GraphSpec(n, k).validate()
-        out = constructions.construct(n, k, pattern)
-    except MixdomError as exc:
-        _fail(str(exc))
-    except MemoryError:
-        _fail(f"P({n},{k}) is too large to build in memory")
+    GraphSpec(n, k).validate()
+    out = constructions.construct(n, k, pattern)
     click.echo(f"instance: P({n},{k})")
     click.echo(f"pattern: {out.pattern}")
     click.echo(f"size: {out.size}")
@@ -128,15 +122,6 @@ def construct(n, k, pattern, output):
         click.echo(f"wrote {output}")
 
 
-def _budget(**limits) -> SolveBudget:
-    budget = SolveBudget(**limits)
-    try:
-        budget.validate()
-    except ValueError as exc:
-        _fail(str(exc))
-    return budget
-
-
 @main.command()
 @click.option("--n", "n", type=int, required=True)
 @click.option("--k", "k", type=int, required=True)
@@ -146,9 +131,9 @@ def _budget(**limits) -> SolveBudget:
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def solve(n, k, max_time, max_nodes, hint, output):
     """Exact minimum mixed dominating set by branch-and-bound."""
-    graph = _graph(n, k)
-    budget = _budget(max_nodes=max_nodes, max_time=max_time, upper_bound_hint=hint)
-    result = solve_exact(graph, budget)
+    graph = build_graph(GraphSpec(n, k))
+    budget = SolveBudget(max_nodes=max_nodes, max_time=max_time, upper_bound_hint=hint)
+    result = solve_exact(graph, budget)  # validates the budget first
     click.echo(f"instance: P({n},{k})")
     click.echo(f"optimum: {result.optimum}" + ("" if result.proved else " (upper bound)"))
     click.echo(f"proved: {'yes' if result.proved else 'no'}")
@@ -171,10 +156,7 @@ def formula(n, k, remark):
     """Closed-form size (exact for k in {1,2}, upper bound for k >= 3)."""
     if remark and k != 2:
         _fail("--remark only applies to k=2")
-    try:
-        res = formulas.formula_for(n, k, remark=remark)
-    except MixdomError as exc:
-        _fail(str(exc))
+    res = formulas.formula_for(n, k, remark=remark)
     click.echo(f"value={res.value} kind={res.kind} case={res.source}")
 
 
@@ -208,7 +190,7 @@ def compare_row(n: int, k: int, budget: SolveBudget | None) -> CompareRow:
     """One cross-check row: construction vs formula vs (optional) exact optimum."""
     try:
         con = constructions.construct(n, k, constructions.default_pattern(k))
-    except MixdomError:
+    except OutOfRange:  # n below the pattern's min_n
         con = None
     f = formulas.formula_for(n, k)
     exact = proved = gap = None
@@ -233,15 +215,13 @@ def compare_row(n: int, k: int, budget: SolveBudget | None) -> CompareRow:
 @click.option("--format", "fmt", type=click.Choice(["table", "records"]), default="table")
 def compare(k, n_start, n_end, max_time, max_nodes, fmt):
     """Cross-check constructions, formulas and the exact solver over a range of n."""
-    if k < 1:
-        _fail(f"k must be >= 1, got {k}")
+    GraphSpec(n_end, k).validate()  # so some n in range is valid, and none too large
     if n_start > n_end:
         _fail("--n-start must be <= --n-end")
-    ns = [n for n in range(n_start, n_end + 1) if 2 * k < n and n >= 3]
-    if not ns:
-        _fail(f"no valid n in [{n_start}, {n_end}] for k={k}")
-    budget = None if max_time == 0 else _budget(max_nodes=max_nodes, max_time=max_time)
-    rows = [compare_row(n, k, budget) for n in ns]
+    budget = None if max_time == 0 else SolveBudget(max_nodes=max_nodes, max_time=max_time)
+    if budget is not None:
+        budget.validate()
+    rows = [compare_row(n, k, budget) for n in range(max(n_start, 2 * k + 1), n_end + 1)]
     if fmt == "records":
         for row in rows:
             click.echo(row.record())
@@ -254,36 +234,13 @@ def compare(k, n_start, n_end, max_time, max_nodes, fmt):
                    f"{_show(r.gap):>4}")
 
 
-TABLE_NAMES = ("table1", "eq1", "k2", "k2remark", "general")
-
-
-@main.command()
-@click.option("--name", type=click.Choice(list(TABLE_NAMES)), required=True)
-@click.option("--n-start", type=int, default=None)
-@click.option("--n-end", type=int, default=None)
-def table(name, n_start, n_end):
-    """Reproduce a reference value table, flagging any disagreeing cell."""
-    if name == "table1":
-        _table_small(n_start, n_end)
-    elif name == "eq1":
-        _table_formula_vs_construction("k=1 closed form", 1, n_start or 8, n_end or 15)
-    elif name == "k2":
-        _table_formula_vs_construction("k=2 closed form", 2, n_start or 5, n_end or 12)
-    elif name == "k2remark":
-        _table_k2remark(n_start or 8, n_end or 15)
-    else:
-        _table_general(n_start or 7, n_end or 30)
-
-
 # reference row for the smallest k=1 instances; the n=1,2 entries presume
 # multigraph loops and double edges, outside this package's model
 TABLE1_REFERENCE = {1: 1, 2: 2, **formulas.SMALL_K1}
 
 
-def _table_small(n_start, n_end):
+def _table_small(lo, hi):
     first, last = min(TABLE1_REFERENCE), max(TABLE1_REFERENCE)
-    lo = first if n_start is None else n_start
-    hi = last if n_end is None else n_end
     if lo < first or hi > last:
         _fail(f"table1 has reference values for n = {first}..{last}, got n = {lo}..{hi}")
     mismatches = 0
@@ -300,16 +257,8 @@ def _table_small(n_start, n_end):
     _table_verdict(mismatches)
 
 
-def _require_domain(formula, *args):
-    """Exit 2 with the formula's message when a table starts below its domain."""
-    try:
-        formula(*args)
-    except MixdomError as exc:
-        _fail(str(exc))
-
-
 def _table_formula_vs_construction(title, k, lo, hi):
-    _require_domain(formulas.formula_for, lo, k)
+    formulas.formula_for(lo, k)  # rejects a start below the formula's domain
     click.echo(f"{title}: formula vs construction size")
     click.echo(f"{'n':>5} {'formula':>8} {'constr':>7} {'agree':>6}")
     mismatches = 0
@@ -327,7 +276,7 @@ def _table_formula_vs_construction(title, k, lo, hi):
 
 
 def _table_k2remark(lo, hi):
-    _require_domain(formulas.gamma_k2_remark, lo)
+    formulas.gamma_k2_remark(lo)  # rejects a start below the formula's domain
     click.echo("k=2: 4-column formula vs alternate 8-column pattern")
     click.echo(f"{'n':>5} {'k2':>4} {'8col':>5} {'delta':>6} {'constr':>7} {'agree':>6}")
     mismatches = 0
@@ -362,6 +311,30 @@ def _table_verdict(mismatches: int):
         click.echo(f"MISMATCH: {mismatches} cell(s) disagree")
         sys.exit(1)
     click.echo("all cells agree")
+
+
+# name: (report, default first n, default last n)
+TABLES = {
+    "table1": (_table_small, min(TABLE1_REFERENCE), max(TABLE1_REFERENCE)),
+    "eq1": (partial(_table_formula_vs_construction, "k=1 closed form", 1), 8, 15),
+    "k2": (partial(_table_formula_vs_construction, "k=2 closed form", 2), 5, 12),
+    "k2remark": (_table_k2remark, 8, 15),
+    "general": (_table_general, 7, 30),
+}
+
+
+@main.command()
+@click.option("--name", type=click.Choice(list(TABLES)), required=True)
+@click.option("--n-start", type=int, default=None)
+@click.option("--n-end", type=int, default=None)
+def table(name, n_start, n_end):
+    """Reproduce a reference value table, flagging any disagreeing cell."""
+    report, lo, hi = TABLES[name]
+    lo = lo if n_start is None else n_start
+    hi = hi if n_end is None else n_end
+    if lo > hi:
+        _fail("--n-start must be <= --n-end")
+    report(lo, hi)
 
 
 if __name__ == "__main__":

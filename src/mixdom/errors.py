@@ -9,6 +9,10 @@ class InvalidSpec(MixdomError):
     """The (n, k) pair does not describe a supported P(n,k) instance."""
 
 
+class InvalidBudget(MixdomError, ValueError):
+    """A solver limit is not positive."""
+
+
 class UnknownElement(MixdomError):
     """Canonical element id or index is outside the graph's universe."""
 

@@ -4,7 +4,8 @@ P(n,k) has outer cycle v_0..v_{n-1}, inner vertices u_0..u_{n-1} joined by
 inner edges u_i u_{i+k mod n}, and spokes v_i u_i. The model requires
 n >= 3 and strictly 1 <= k < n/2: at n = 2k the inner edges collapse into
 duplicate pairs, the graph stops being cubic and the 5n element count
-breaks, so that boundary is rejected rather than special-cased.
+breaks, so that boundary is rejected rather than special-cased. n is also
+capped at MAX_N, so that every element id fits the int32 neighbor table.
 
 Every element of a valid instance has a closed mixed neighborhood of
 exactly 7 elements (itself plus 6 adjacent or incident ones); the whole
@@ -22,6 +23,7 @@ from .elements import ElementSet, _as_id
 from .errors import InvalidSpec
 
 NEIGHBORHOOD_SIZE = 7
+MAX_N = (2**31 - 1) // 5  # largest n whose 5n element ids are all int32
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class GraphSpec:
     def validate(self) -> None:
         if self.n < 3:
             raise InvalidSpec(f"n must be >= 3, got {self.n}")
+        if self.n > MAX_N:
+            raise InvalidSpec(f"n must be <= {MAX_N} (element ids are int32), got {self.n}")
         if self.k < 1:
             raise InvalidSpec(f"k must be >= 1, got {self.k}")
         if 2 * self.k >= self.n:
@@ -106,7 +110,7 @@ class PetersenGraph:
 
 
 def build_graph(spec: GraphSpec) -> PetersenGraph:
-    """Construct P(n,k). Raises InvalidSpec for n < 3 or k outside [1, n/2)."""
+    """Construct P(n,k). Raises InvalidSpec unless 3 <= n <= MAX_N and 1 <= k < n/2."""
     return PetersenGraph(spec)
 
 

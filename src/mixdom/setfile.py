@@ -13,7 +13,8 @@ The header carries the instance and provenance; each following line is an
 element as ``<tag> <index>`` with tags v, u (vertices), vv (outer edge),
 vu (spoke), uu (inner edge) and index in [0, n), decoded by
 :mod:`mixdom.elements`. Files round-trip losslessly; duplicate elements and
-out-of-range indices are rejected, naming the first such line in the file.
+out-of-range indices are rejected, naming the first such line in the file,
+and so is a header that :meth:`GraphSpec.validate` rejects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import TAGS, ElementSet
-from .errors import SetFileError
+from .errors import InvalidSpec, SetFileError
+from .petersen import GraphSpec
 
 KIND_OF_TAG = {tag: kind for kind, tag in enumerate(TAGS)}
 
@@ -106,20 +108,30 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, str, int]:
         source = fields.get("source", "unknown")
     except (KeyError, ValueError) as exc:
         raise SetFileError(f"line {lineno}: bad header {line!r} ({exc})") from None
-    if n < 3 or k < 1:
-        raise SetFileError(f"line {lineno}: invalid instance n={n} k={k}")
+    try:
+        GraphSpec(n, k).validate()
+    except InvalidSpec as exc:
+        raise SetFileError(f"line {lineno}: invalid instance: {exc}") from None
     return n, k, source, size
 
 
 def load(path) -> SetFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a set file. Every failure is a SetFileError that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise SetFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return loads(text)
+        return loads(text)
+    except OSError as exc:
+        raise SetFileError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SetFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except SetFileError as exc:
+        raise SetFileError(f"{path}: {exc}") from None
 
 
 def dump(path, n: int, k: int, source: str, elements: ElementSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(n, k, source, elements))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(n, k, source, elements))
+    except OSError as exc:
+        raise SetFileError(f"cannot write {path}: {exc.strerror}") from None

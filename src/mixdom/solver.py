@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .domination import verify
 from .elements import ElementSet
-from .errors import NoSolutionWithin
+from .errors import InvalidBudget, NoSolutionWithin
 from .petersen import NEIGHBORHOOD_SIZE, PetersenGraph
 
 
@@ -37,11 +37,11 @@ class SolveBudget:
 
     def validate(self) -> None:
         if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
+            raise InvalidBudget(f"max_nodes must be positive, got {self.max_nodes}")
         if self.max_time is not None and not self.max_time > 0:  # NaN too
-            raise ValueError(f"max_time must be positive, got {self.max_time}")
+            raise InvalidBudget(f"max_time must be positive, got {self.max_time}")
         if self.upper_bound_hint is not None and self.upper_bound_hint <= 0:
-            raise ValueError(f"upper_bound_hint must be positive, got {self.upper_bound_hint}")
+            raise InvalidBudget(f"upper_bound_hint must be positive, got {self.upper_bound_hint}")
 
 
 @dataclass(frozen=True)

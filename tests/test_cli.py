@@ -2,7 +2,7 @@ import pytest
 from click.testing import CliRunner
 
 import mixdom as md
-from mixdom import setfile
+from mixdom import cli, setfile
 from mixdom.cli import main
 
 
@@ -92,6 +92,31 @@ def test_verify_instance_too_large_to_load(tmp_path):
 
 def test_construct_instance_too_large_to_build():
     assert_one_line_error(run("construct", "--n", 99999999999, "--k", 1))
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "--n", 10**30, "--k", 1],
+    ["construct", "--n", 10**30, "--k", 1],
+    ["solve", "--n", 10**30, "--k", 1],
+    ["verify", "HUGE_HEADER"],
+    ["construct", "--n", 10, "--k", 1, "-o", "MISSING_DIR"],
+    ["solve", "--n", 9, "--k", 2, "-o", "MISSING_DIR"],
+])
+def test_input_errors_end_in_one_error_line(args, tmp_path):
+    huge = tmp_path / "huge.set"
+    huge.write_text(f"n={10**30} k=1 source=x size=0\n")
+    paths = {"HUGE_HEADER": huge, "MISSING_DIR": tmp_path / "missing" / "x.set"}
+    res = run(*(paths.get(a, a) for a in args))
+    assert res.exit_code == 2, res.output
+    assert res.output.splitlines()[-1].startswith("error: ")
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli.constructions, "construct", exhausted)
+    assert_one_line_error(run("construct", "--n", 10, "--k", 1))
 
 
 def test_set_file_not_utf8_is_rejected(tmp_path):
@@ -195,6 +220,14 @@ def test_compare_rejects_empty_range():
     assert run("compare", "--k", 1, "--n-start", 10, "--n-end", 8).exit_code == 2
 
 
+def test_compare_checks_the_range_end_before_listing_it():
+    assert_one_line_error(run("compare", "--k", 1, "--n-start", 8, "--n-end", 10**30))
+    res = run("compare", "--k", 1, "--n-start", -10**30, "--n-end", 9, "--max-time", 0,
+              "--format", "records")
+    assert res.exit_code == 0, res.output
+    assert [line.split()[0] for line in res.output.splitlines()] == [f"n={n}" for n in range(3, 10)]
+
+
 def test_table_table1():
     res = run("table", "--name", "table1")
     assert res.exit_code == 0
@@ -229,6 +262,20 @@ def test_table1_outside_its_reference_rows(bounds):
     lo, hi = bounds
     args = ["--n-start", lo] + ([] if hi is None else ["--n-end", hi])
     assert_one_line_error(run("table", "--name", "table1", *args))
+
+
+@pytest.mark.parametrize("name, lo, hi", [
+    ("eq1", 0, 9),           # 0 is a start below k=1's formula, not the default 8
+    ("general", None, 0),    # an end of 0 is below the default start 7
+    ("k2", 12, 11),
+    ("k2remark", 16, None),  # above the default end 15
+    ("table1", 5, 4),
+    ("table1", 8, None),     # above the default end 7
+])
+def test_table_range_given_is_the_range_used(name, lo, hi):
+    args = [] if lo is None else ["--n-start", lo]
+    args += [] if hi is None else ["--n-end", hi]
+    assert_one_line_error(run("table", "--name", name, *args))
 
 
 def test_table_eq1_rows_below_the_pattern_are_not_mismatches():

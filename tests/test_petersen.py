@@ -114,3 +114,6 @@ def test_graph_spec_validation_direct():
     GraphSpec(9, 4).validate()
     with pytest.raises(InvalidSpec):
         GraphSpec(9, 5).validate()
+    GraphSpec(429_496_729, 1).validate()  # 5n - 1 still fits int32
+    with pytest.raises(InvalidSpec):
+        GraphSpec(429_496_730, 1).validate()

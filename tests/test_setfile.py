@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import mixdom as md
@@ -42,11 +44,20 @@ def test_all_tags_parse():
     "n=5 k=2 size=3\nv 1\n",                        # size mismatch
     "n=abc k=2 size=0\n",                           # bad n
     "n=2 k=1 size=0\n",                             # invalid instance
+    "n=4 k=2 size=0\n",                             # k not below n/2
     "n=5 k=2 source=x size=1\nv 1 2\n",             # too many fields
 ])
 def test_malformed_inputs_rejected(text):
     with pytest.raises(SetFileError):
         setfile.loads(text)
+
+
+def test_io_errors_name_the_path(tmp_path):
+    missing = tmp_path / "missing" / "x.set"
+    with pytest.raises(SetFileError, match=f"^cannot read {re.escape(str(missing))}: "):
+        setfile.load(missing)
+    with pytest.raises(SetFileError, match=f"^cannot write {re.escape(str(missing))}: "):
+        setfile.dump(missing, 5, 2, "x", md.build(5, 2).universe())
 
 
 def test_header_source_defaults_to_unknown():
