@@ -41,18 +41,7 @@ def greedy_fill(nbrs, cover):
     return np.asarray(added, dtype=np.int32)
 
 
-class BBResult:
-    __slots__ = ("found", "best_size", "best_ids", "nodes", "completed")
-
-    def __init__(self, found, best_size, best_ids, nodes, completed):
-        self.found = found
-        self.best_size = best_size
-        self.best_ids = best_ids
-        self.nodes = nodes
-        self.completed = completed
-
-
-def bb_search(nbrs, cutoff, max_nodes=None, max_time=None):
+def bb_search(nbrs, cutoff, node_cap=math.inf, deadline=None):
     """Search for a dominating set strictly smaller than ``cutoff``.
 
     Depth-first, always branching on the lowest-id uncovered element over
@@ -60,20 +49,23 @@ def bb_search(nbrs, cutoff, max_nodes=None, max_time=None):
     size + ceil(uncovered / 7) >= best. Candidates already tried at a node
     are forbidden in later siblings' subtrees, which makes the branching a
     partition of the search space. Coverage is a per-element dominator
-    count, undone on backtrack. The search stops after exactly
-    ``max_nodes`` nodes, or at the first clock read past ``max_time``;
-    the reported set only depends on the instance and cutoff.
+    count, undone on backtrack.
+
+    The limits are absolute: the search stops after exactly ``node_cap``
+    nodes, or at the first clock read at or past ``deadline`` (a
+    ``time.monotonic()`` value). Returns ``(ids, nodes, completed)``: the
+    sorted ids of the smallest set found, or None if no set beat
+    ``cutoff``; the nodes explored; and whether the whole space was
+    searched. A completed search's set depends only on the instance and
+    ``cutoff``.
     """
     E, W = nbrs.shape
+    if (E + W - 1) // W >= cutoff:
+        return None, 0, True
     rows = nbrs.tolist()
     cnt = [0] * E
     forbid = [False] * E
     best, best_ids = cutoff, None
-    if (E + W - 1) // W >= best:
-        return BBResult(False, best, None, 0, True)
-
-    deadline = None if max_time is None else time.monotonic() + max_time
-    node_cap = math.inf if max_nodes is None else int(max_nodes)
     next_check = min(CLOCK_EVERY, node_cap)
     nodes = covered = 0
     # one entry per level: the pending element's allowed dominators and the
@@ -140,4 +132,4 @@ def bb_search(nbrs, cutoff, max_nodes=None, max_time=None):
                     covered -= 1
 
     ids = None if best_ids is None else np.sort(np.asarray(best_ids, dtype=np.int32))
-    return BBResult(best_ids is not None, best, ids, nodes, completed)
+    return ids, nodes, completed

@@ -26,11 +26,6 @@ from .petersen import GraphSpec, build_graph, to_dot
 from .solver import SolveBudget, solve_exact, solve_exhaustive
 
 
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
 class _Main(click.Group):
     """The command group; its invoke is the CLI's one error boundary."""
 
@@ -38,9 +33,11 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except MixdomError as exc:
-            _fail(str(exc))
+            message = str(exc)
         except MemoryError:
-            _fail("instance too large to fit in memory")
+            message = "instance too large to fit in memory"
+        click.echo(f"error: {message}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_Main)
@@ -66,7 +63,7 @@ def build(n, k, fmt, highlight):
     if highlight is not None:
         sf = setfile.load(highlight)
         if (sf.n, sf.k) != (n, k):
-            _fail(f"highlight file is for P({sf.n},{sf.k}), not P({n},{k})")
+            raise MixdomError(f"highlight file is for P({sf.n},{sf.k}), not P({n},{k})")
         hl = sf.elements
     click.echo(to_dot(graph, hl), nl=False)
 
@@ -79,9 +76,9 @@ def verify_cmd(path, n, k):
     """Check that the set in PATH mixed-dominates its P(n,k)."""
     sf = setfile.load(path)
     if n is not None and n != sf.n:
-        _fail(f"file is for n={sf.n}, expected n={n}")
+        raise MixdomError(f"file is for n={sf.n}, expected n={n}")
     if k is not None and k != sf.k:
-        _fail(f"file is for k={sf.k}, expected k={k}")
+        raise MixdomError(f"file is for k={sf.k}, expected k={k}")
     graph = build_graph(GraphSpec(sf.n, sf.k))
     report = verify_set(graph, sf.elements)
     click.echo(f"instance: P({sf.n},{sf.k})")
@@ -155,7 +152,8 @@ def solve(n, k, max_time, max_nodes, hint, output):
 def formula(n, k, remark):
     """Closed-form size (exact for k in {1,2}, upper bound for k >= 3)."""
     if remark and k != 2:
-        _fail("--remark only applies to k=2")
+        raise MixdomError("--remark only applies to k=2")
+    GraphSpec(n, k).validate()
     res = formulas.formula_for(n, k, remark=remark)
     click.echo(f"value={res.value} kind={res.kind} case={res.source}")
 
@@ -186,12 +184,17 @@ def _show(x) -> str:
     return str(x)
 
 
+def _default_construction(n: int, k: int) -> constructions.ConstructionOutput | None:
+    """The default pattern's construction for P(n,k), or None below its min_n."""
+    try:
+        return constructions.construct(n, k, constructions.default_pattern(k))
+    except OutOfRange:
+        return None
+
+
 def compare_row(n: int, k: int, budget: SolveBudget | None) -> CompareRow:
     """One cross-check row: construction vs formula vs (optional) exact optimum."""
-    try:
-        con = constructions.construct(n, k, constructions.default_pattern(k))
-    except OutOfRange:  # n below the pattern's min_n
-        con = None
+    con = _default_construction(n, k)
     f = formulas.formula_for(n, k)
     exact = proved = gap = None
     if budget is not None:
@@ -217,7 +220,7 @@ def compare(k, n_start, n_end, max_time, max_nodes, fmt):
     """Cross-check constructions, formulas and the exact solver over a range of n."""
     GraphSpec(n_end, k).validate()  # so some n in range is valid, and none too large
     if n_start > n_end:
-        _fail("--n-start must be <= --n-end")
+        raise MixdomError("--n-start must be <= --n-end")
     budget = None if max_time == 0 else SolveBudget(max_nodes=max_nodes, max_time=max_time)
     if budget is not None:
         budget.validate()
@@ -239,78 +242,59 @@ def compare(k, n_start, n_end, max_time, max_nodes, fmt):
 TABLE1_REFERENCE = {1: 1, 2: 2, **formulas.SMALL_K1}
 
 
+# Each report checks its range, then yields (line, ok) for every line it
+# prints; ok is False only on a row whose cells disagree.
 def _table_small(lo, hi):
     first, last = min(TABLE1_REFERENCE), max(TABLE1_REFERENCE)
     if lo < first or hi > last:
-        _fail(f"table1 has reference values for n = {first}..{last}, got n = {lo}..{hi}")
-    mismatches = 0
-    click.echo(f"{'n':>3} {'reference':>10} {'computed':>9} {'agree':>6}")
+        raise MixdomError(f"table1 has reference values for n = {first}..{last}, "
+                          f"got n = {lo}..{hi}")
+    yield f"{'n':>3} {'reference':>10} {'computed':>9} {'agree':>6}", True
     for n in range(lo, hi + 1):
         ref = TABLE1_REFERENCE[n]
         if n < 3:
-            click.echo(f"{n:>3} {ref:>10} {'n/a':>9} {'-':>6}")
+            yield f"{n:>3} {ref:>10} {'n/a':>9} {'-':>6}", True
             continue
         got = solve_exhaustive(build_graph(GraphSpec(n, 1)), max_size=8).optimum
         ok = got == ref
-        mismatches += 0 if ok else 1
-        click.echo(f"{n:>3} {ref:>10} {got:>9} {'ok' if ok else '!':>6}")
-    _table_verdict(mismatches)
+        yield f"{n:>3} {ref:>10} {got:>9} {'ok' if ok else '!':>6}", ok
 
 
 def _table_formula_vs_construction(title, k, lo, hi):
     formulas.formula_for(lo, k)  # rejects a start below the formula's domain
-    click.echo(f"{title}: formula vs construction size")
-    click.echo(f"{'n':>5} {'formula':>8} {'constr':>7} {'agree':>6}")
-    mismatches = 0
+    yield f"{title}: formula vs construction size", True
+    yield f"{'n':>5} {'formula':>8} {'constr':>7} {'agree':>6}", True
     for n in range(lo, hi + 1):
-        f = formulas.formula_for(n, k)
-        try:
-            con = constructions.construct(n, k, constructions.default_pattern(k))
-        except OutOfRange:  # n below the pattern's min_n
-            click.echo(f"{n:>5} {f.value:>8} {'n/a':>7} {'-':>6}")
+        con = _default_construction(n, k)
+        if con is None:
+            yield f"{n:>5} {formulas.formula_for(n, k).value:>8} {'n/a':>7} {'-':>6}", True
             continue
-        ok = con.size == f.value and not con.repaired
-        mismatches += 0 if ok else 1
-        click.echo(f"{n:>5} {f.value:>8} {con.size:>7} {'ok' if ok else '!':>6}")
-    _table_verdict(mismatches)
+        ok = con.size == con.predicted_size and not con.repaired
+        yield f"{n:>5} {con.predicted_size:>8} {con.size:>7} {'ok' if ok else '!':>6}", ok
 
 
 def _table_k2remark(lo, hi):
     formulas.gamma_k2_remark(lo)  # rejects a start below the formula's domain
-    click.echo("k=2: 4-column formula vs alternate 8-column pattern")
-    click.echo(f"{'n':>5} {'k2':>4} {'8col':>5} {'delta':>6} {'constr':>7} {'agree':>6}")
-    mismatches = 0
+    yield "k=2: 4-column formula vs alternate 8-column pattern", True
+    yield f"{'n':>5} {'k2':>4} {'8col':>5} {'delta':>6} {'constr':>7} {'agree':>6}", True
     for n in range(lo, hi + 1):
         base = formulas.gamma_k2(n).value
-        alt = formulas.gamma_k2_remark(n).value
         con = constructions.construct_k2_block8(n)
-        want_delta = 1 if n % 8 in (1, 4) else 0
-        ok = alt - base == want_delta and con.size == alt
-        mismatches += 0 if ok else 1
-        click.echo(f"{n:>5} {base:>4} {alt:>5} {alt - base:>6} {con.size:>7} {'ok' if ok else '!':>6}")
-    _table_verdict(mismatches)
+        alt = con.predicted_size
+        ok = alt - base == con.known_suboptimal and con.size == alt
+        yield (f"{n:>5} {base:>4} {alt:>5} {alt - base:>6} {con.size:>7} "
+               f"{'ok' if ok else '!':>6}"), ok
 
 
 def _table_general(lo, hi):
-    click.echo("k>=3: upper bound vs construction")
-    click.echo(f"{'k':>3} {'n':>5} {'bound':>6} {'constr':>7} {'raw':>4} {'agree':>6}")
-    mismatches = 0
+    yield "k>=3: upper bound vs construction", True
+    yield f"{'k':>3} {'n':>5} {'bound':>6} {'constr':>7} {'raw':>4} {'agree':>6}", True
     for k in range(3, 8):
         for n in range(max(lo, 2 * k + 1), hi + 1):
-            bound = formulas.upper_bound_general(n, k).value
             con = constructions.construct_general(n, k)
-            ok = con.size <= bound
-            mismatches += 0 if ok else 1
-            click.echo(f"{k:>3} {n:>5} {bound:>6} {con.size:>7} "
-                       f"{'yes' if con.raw_valid else 'no':>4} {'ok' if ok else '!':>6}")
-    _table_verdict(mismatches)
-
-
-def _table_verdict(mismatches: int):
-    if mismatches:
-        click.echo(f"MISMATCH: {mismatches} cell(s) disagree")
-        sys.exit(1)
-    click.echo("all cells agree")
+            ok = con.size <= con.predicted_size
+            yield (f"{k:>3} {n:>5} {con.predicted_size:>6} {con.size:>7} "
+                   f"{'yes' if con.raw_valid else 'no':>4} {'ok' if ok else '!':>6}"), ok
 
 
 # name: (report, default first n, default last n)
@@ -333,8 +317,15 @@ def table(name, n_start, n_end):
     lo = lo if n_start is None else n_start
     hi = hi if n_end is None else n_end
     if lo > hi:
-        _fail("--n-start must be <= --n-end")
-    report(lo, hi)
+        raise MixdomError("--n-start must be <= --n-end")
+    mismatches = 0
+    for line, ok in report(lo, hi):
+        click.echo(line)
+        mismatches += not ok
+    if mismatches:
+        click.echo(f"MISMATCH: {mismatches} cell(s) disagree")
+        sys.exit(1)
+    click.echo("all cells agree")
 
 
 if __name__ == "__main__":

@@ -66,13 +66,16 @@ class ConstructionOutput:
     elements: ElementSet
     predicted_size: int
     raw_valid: bool
-    repaired: bool
     repair_added: ElementSet
     known_suboptimal: bool = False
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @property
+    def repaired(self) -> bool:
+        return not self.raw_valid
 
 
 # Formulas are looked up in the formulas module at call time, so a patched
@@ -201,8 +204,7 @@ def construct(n: int, k: int, pattern: str) -> ConstructionOutput:
     raw_valid = verify(graph, raw).is_dominating
     elements = raw if raw_valid else greedy_complete(graph, raw)
     return ConstructionOutput(n, k, pattern, elements, row.formula(n).value,
-                              raw_valid=raw_valid, repaired=not raw_valid,
-                              repair_added=elements - raw,
+                              raw_valid=raw_valid, repair_added=elements - raw,
                               known_suboptimal=n % row.width in row.suboptimal)
 
 

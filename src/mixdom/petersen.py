@@ -68,7 +68,6 @@ class PetersenGraph:
 
     def __init__(self, spec: GraphSpec):
         spec.validate()
-        self.spec = spec
         self.n = spec.n
         self.k = spec.k
         self.nbrs = _neighbor_table(spec.n, spec.k)
@@ -86,13 +85,9 @@ class PetersenGraph:
     def num_elements(self) -> int:
         return 5 * self.n
 
-    def element_id(self, item) -> int:
-        return _as_id(item, self.n)
-
     def mixed_neighborhood(self, item) -> ElementSet:
         """Closed mixed neighborhood: the element plus everything adjacent or incident."""
-        eid = self.element_id(item)
-        return ElementSet(self.n, self.nbrs[eid])
+        return ElementSet(self.n, self.nbrs[_as_id(item, self.n)])
 
     def edge_endpoints(self, item) -> tuple[int, int]:
         """Vertex ids of an edge element's two endpoints."""

@@ -15,6 +15,7 @@ is both the optimum and the lexicographically smallest witness.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -59,18 +60,23 @@ def solve_exact(graph: PetersenGraph, budget: SolveBudget | None = None, *,
 
     The starting incumbent is the greedy completion of the empty set, or
     ``initial`` (a known dominating set) if smaller. A bare numeric
-    ``upper_bound_hint`` in the budget tightens pruning to hint+1 so an
-    optimal witness is still produced; a hint below the true optimum is
-    detected and ignored by falling back to an unhinted search.
+    ``upper_bound_hint`` in the budget tightens the search's cutoff to
+    hint+1 so an optimal witness is still produced. A hint below the true
+    optimum leaves that search complete without a witness; a second search
+    with the incumbent's size as cutoff then runs under what is left of the
+    same limits.
 
-    On budget exhaustion ``proved`` is False and ``optimum`` is the best
-    incumbent size, an upper bound. The search reads the clock once per
+    The budget becomes one absolute deadline and one node cap, shared by
+    both searches. On exhaustion ``proved`` is False and ``optimum`` is the
+    best incumbent size, an upper bound. The search reads the clock once per
     ``_kernels.CLOCK_EVERY`` nodes, so ``max_time`` is overshot by at most
     that many nodes' work.
     """
     budget = budget or SolveBudget()
     budget.validate()
     t0 = time.monotonic()
+    deadline = None if budget.max_time is None else t0 + budget.max_time
+    node_cap = math.inf if budget.max_nodes is None else budget.max_nodes
 
     greedy_ids = _kernels.greedy_fill(graph.nbrs, np.zeros(graph.num_elements, dtype=np.bool_))
     incumbent = ElementSet(graph.n, greedy_ids)
@@ -83,32 +89,19 @@ def solve_exact(graph: PetersenGraph, budget: SolveBudget | None = None, *,
     cutoff = len(incumbent)
     if budget.upper_bound_hint is not None:
         cutoff = min(cutoff, budget.upper_bound_hint + 1)
+    ids, nodes, completed = _kernels.bb_search(graph.nbrs, cutoff, node_cap, deadline)
+    if ids is None and completed and cutoff < len(incumbent):
+        # the hint was below the optimum: search again up to the incumbent
+        ids, more, completed = _kernels.bb_search(graph.nbrs, len(incumbent),
+                                                  node_cap - nodes, deadline)
+        nodes += more
 
-    total_nodes = 0
-    deadline = None if budget.max_time is None else t0 + budget.max_time
-    while True:
-        remaining_time = None if deadline is None else max(deadline - time.monotonic(), 0.001)
-        remaining_nodes = None if budget.max_nodes is None else budget.max_nodes - total_nodes
-        res = _kernels.bb_search(graph.nbrs, cutoff, max_nodes=remaining_nodes,
-                                 max_time=remaining_time)
-        total_nodes += res.nodes
-        if res.found or not res.completed or cutoff >= len(incumbent):
-            break
-        # completed without a witness under a hinted cutoff below the known
-        # incumbent: the hint was wrong, rerun with the honest cutoff
-        cutoff = len(incumbent)
-
-    if res.found:
-        witness = ElementSet(graph.n, res.best_ids)
-        optimum = res.best_size
-    else:
-        witness = incumbent
-        optimum = len(incumbent)
+    witness = incumbent if ids is None else ElementSet(graph.n, ids)
     return OptimalResult(
-        optimum=optimum,
+        optimum=len(witness),
         witness=witness,
-        proved=res.completed,
-        nodes_explored=total_nodes,
+        proved=completed,
+        nodes_explored=nodes,
         elapsed=time.monotonic() - t0,
     )
 

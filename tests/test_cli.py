@@ -1,3 +1,6 @@
+import dataclasses
+import pathlib
+
 import pytest
 from click.testing import CliRunner
 
@@ -180,6 +183,18 @@ def test_formula_output():
     assert run("formula", "--n", 9, "--k", 1, "--remark").exit_code == 2
 
 
+@pytest.mark.parametrize("n, k, message", [
+    (5, 0, "k must be >= 1, got 0"),
+    (5, -1, "k must be >= 1, got -1"),
+    (4, 2, "need k < n/2 (P(4,2) degenerates: duplicate inner edges)"),
+    (500000000, 1, "n must be <= 429496729 (element ids are int32), got 500000000"),
+])
+def test_formula_checks_the_instance_first(n, k, message):
+    res = run("formula", "--n", n, "--k", k)
+    assert_one_line_error(res)
+    assert res.output == f"error: {message}\n"
+
+
 def test_compare_records_k1():
     res = run("compare", "--k", 1, "--n-start", 8, "--n-end", 12, "--format", "records")
     assert res.exit_code == 0
@@ -250,6 +265,44 @@ def test_table_k2remark():
     res = run("table", "--name", "k2remark")
     assert res.exit_code == 0
     assert "all cells agree" in res.output
+
+
+def _recorded_reports():
+    text = pathlib.Path(__file__).with_name("report_text.txt").read_text()
+    for block in text.split("$ mixdom ")[1:]:
+        command, _, stdout = block.partition("\n")
+        yield pytest.param(command.split(), stdout, id=command)
+
+
+@pytest.mark.parametrize("args, stdout", _recorded_reports())
+def test_report_text_is_pinned(args, stdout):
+    res = run(*args)
+    assert res.exit_code == 0
+    assert res.stdout == stdout
+
+
+# one cell made to disagree in each report: table1's reference at n=5, and
+# the k=1 and k=2 closed forms at n=9
+@pytest.mark.parametrize("args, row", [
+    (["table1", "--n-start", 4, "--n-end", 6], "5          5         4      !"),
+    (["eq1", "--n-start", 8, "--n-end", 10], "9        9       8      !"),
+    (["k2remark", "--n-start", 8, "--n-end", 10], "9    8     8      0       8      !"),
+])
+def test_table_counts_each_disagreeing_cell(monkeypatch, args, row):
+    def one_more_at_9(formula):
+        def patched(n):
+            f = formula(n)
+            return dataclasses.replace(f, value=f.value + (n == 9))
+        return patched
+
+    monkeypatch.setitem(cli.TABLE1_REFERENCE, 5, 5)
+    for name in ("gamma_k1", "gamma_k2"):
+        monkeypatch.setattr(md.formulas, name, one_more_at_9(getattr(md.formulas, name)))
+    res = run("table", "--name", *args)
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert [line.strip() for line in lines if line.endswith("!")] == [row]
+    assert lines[-1] == "MISMATCH: 1 cell(s) disagree"
 
 
 def test_table_start_below_formula_domain():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 
 import mixdom as md
@@ -45,19 +47,27 @@ def test_greedy_fill_paths_identical():
 
 def test_bb_search_finds_optimum():
     g = md.build(8, 1)
-    res = _kernels.bb_search(g.nbrs, cutoff=10)
-    assert res.completed and res.found
-    assert res.best_size == 6
+    ids, _, completed = _kernels.bb_search(g.nbrs, cutoff=10)
+    assert completed and ids is not None
+    assert len(ids) == 6 and ids.tolist() == sorted(ids.tolist())
+    assert md.verify(g, md.ElementSet(8, ids)).is_dominating
 
 
 def test_bb_search_cutoff_at_optimum_finds_nothing():
     g = md.build(8, 1)
-    res = _kernels.bb_search(g.nbrs, cutoff=6)
-    assert res.completed and not res.found
+    ids, _, completed = _kernels.bb_search(g.nbrs, cutoff=6)
+    assert completed and ids is None
 
 
 def test_bb_search_node_budget():
     g = md.build(12, 1)
-    res = _kernels.bb_search(g.nbrs, cutoff=11, max_nodes=40)
-    assert not res.completed
-    assert res.nodes == 40
+    _, nodes, completed = _kernels.bb_search(g.nbrs, cutoff=11, node_cap=40)
+    assert not completed
+    assert nodes == 40
+
+
+def test_bb_search_deadline_is_absolute():
+    g = md.build(40, 1)
+    _, nodes, completed = _kernels.bb_search(g.nbrs, cutoff=31, deadline=time.monotonic())
+    assert not completed
+    assert nodes == _kernels.CLOCK_EVERY  # stopped at the first clock read

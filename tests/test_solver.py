@@ -151,6 +151,31 @@ def test_lying_hint_is_survived():
     assert md.verify(g, res.witness).is_dominating
 
 
+# A hint below the optimum makes a first search with cutoff gamma; an optimal
+# construction as the incumbent makes exactly that search and no other. At
+# n=10 the root bound alone closes it, at n=11 it takes 6524 nodes.
+@pytest.mark.parametrize("n", [10, 11])
+def test_lying_hint_adds_one_search(n):
+    g = md.build(n, 1)
+    hint = md.gamma_k1(n).value - 1
+    first = md.solve_exact(g, initial=md.construct_k1(n).elements)
+    assert first.proved
+    res = md.solve_exact(g, SolveBudget(upper_bound_hint=hint))
+    assert res.nodes_explored == first.nodes_explored + md.solve_exact(g).nodes_explored
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_lying_hint_out_of_nodes_keeps_the_incumbent(n):
+    g = md.build(n, 1)
+    hint = md.gamma_k1(n).value - 1
+    first = md.solve_exact(g, initial=md.construct_k1(n).elements).nodes_explored
+    res = md.solve_exact(g, SolveBudget(upper_bound_hint=hint, max_nodes=first + 100))
+    assert not res.proved
+    assert res.nodes_explored == first + 100  # the second search gets what the first left
+    assert md.verify(g, res.witness).is_dominating
+    assert res.optimum == len(res.witness) == len(md.greedy_complete(g, ElementSet(n)))
+
+
 def test_initial_incumbent_from_construction():
     con = md.construct_k1(12)
     g = md.build(12, 1)
